@@ -25,7 +25,7 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Sequence, TextIO
 
 from . import closedforms, engine
@@ -36,6 +36,7 @@ from .costmodel import (
     UnsupportedParameterError,
 )
 from .topologies import (
+    GEOMETRIES,
     ChordRing,
     DeBruijn,
     GeometrySpec,
@@ -122,9 +123,9 @@ def _geometries_arg(text: str) -> tuple[str, ...]:
     if not tokens:
         raise argparse.ArgumentTypeError("at least one geometry is required")
     for t in tokens:
-        if t not in ("star", "debruijn", "plaxton", "chord") and not re.fullmatch(r"torus\d+", t):
+        if _ladder(t) is None:
             raise argparse.ArgumentTypeError(
-                f"unknown geometry token {t!r} (use star, debruijn, plaxton, chord or torus<D>)"
+                f"unknown geometry token {t!r} (use {', '.join(_LADDERS)} or torus<D>)"
             )
     return tokens
 
@@ -138,8 +139,7 @@ def _add_param_flags(p: argparse.ArgumentParser):
 
 
 def _add_geometry_flags(p: argparse.ArgumentParser):
-    p.add_argument("--geometry", required=True,
-                   choices=("star", "debruijn", "torus", "plaxton", "chord"))
+    p.add_argument("--geometry", required=True, choices=list(GEOMETRIES))
     p.add_argument("--n", type=int, help="node count (star)")
     p.add_argument("--delta", type=int, help="symbol count (debruijn, plaxton)")
     p.add_argument("--d", type=int, help="word length / dimensions / ring bits")
@@ -182,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="mean cost rows over a size range")
     p.add_argument("--geometries", type=_geometries_arg,
                    default=("star", "debruijn", "torus2", "torus6", "plaxton", "chord"),
-                   help="comma list: star, debruijn, plaxton, chord, torus<D>")
+                   help=f"comma list: {', '.join(_LADDERS)}, torus<D>")
     p.add_argument("--delta", type=int, default=2,
                    help="symbol count for debruijn/plaxton (default 2)")
     p.add_argument("--n-min", type=int, default=10)
@@ -206,25 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _geometry_from_args(parser, args) -> GeometrySpec:
-    needed = {
-        "star": ("n",),
-        "debruijn": ("delta", "d"),
-        "torus": ("d", "n_side"),
-        "plaxton": ("delta", "d"),
-        "chord": ("d",),
-    }[args.geometry]
-    for field in needed:
-        if getattr(args, field) is None:
-            parser.error(f"--geometry {args.geometry} requires --{field.replace('_', '-')}")
-    if args.geometry == "star":
-        return Star(n=args.n)
-    if args.geometry == "debruijn":
-        return DeBruijn(delta=args.delta, d=args.d)
-    if args.geometry == "torus":
-        return Torus(d=args.d, n_side=args.n_side)
-    if args.geometry == "plaxton":
-        return PlaxtonTree(delta=args.delta, d=args.d)
-    return ChordRing(d=args.d)
+    spec_class = GEOMETRIES[args.geometry]
+    values = {}
+    for field in fields(spec_class):
+        values[field.name] = getattr(args, field.name)
+        if values[field.name] is None:
+            parser.error(f"--geometry {args.geometry} requires --{field.name.replace('_', '-')}")
+    return spec_class(**values)
 
 
 def _resolve_guard(parser, args) -> Optional[int]:
@@ -249,17 +237,7 @@ def _params_from_args(args) -> CostParams:
 
 
 def _spec_dict(spec: GeometrySpec) -> dict:
-    if isinstance(spec, Star):
-        return {"geometry": "star", "n": spec.n}
-    if isinstance(spec, DeBruijn):
-        return {"geometry": "debruijn", "delta": spec.delta, "d": spec.d}
-    if isinstance(spec, Torus):
-        return {"geometry": "torus", "d": spec.d, "n_side": spec.n_side}
-    if isinstance(spec, PlaxtonTree):
-        return {"geometry": "plaxton", "delta": spec.delta, "d": spec.d}
-    if isinstance(spec, ChordRing):
-        return {"geometry": "chord", "d": spec.d}
-    raise InvalidParameterError(f"unknown geometry {spec!r}")
+    return {"geometry": spec.name, **asdict(spec)}
 
 
 def _spec_label(spec: GeometrySpec) -> str:
@@ -438,34 +416,42 @@ def cmd_star_equilibrium(params: CostParams, out_format: str = "json",
     return 0
 
 
+#: Sweep size ladders by token: the first step, and the spec at step k
+#: for the sweep's ``delta``.  Sizes grow with k.  ``torus<D>`` tokens
+#: step through the side length of a D-dimensional torus.
+_LADDERS = {
+    "star": (2, lambda k, delta: Star(n=k)),
+    "debruijn": (1, lambda k, delta: DeBruijn(delta=delta, d=k)),
+    "plaxton": (1, lambda k, delta: PlaxtonTree(delta=delta, d=k)),
+    "chord": (1, lambda k, delta: ChordRing(d=k)),
+}
+
+
+def _ladder(token: str):
+    """(first step, spec at step k) of a sweep token; None if unknown."""
+    torus = re.fullmatch(r"torus([1-9]\d*)", token)
+    if torus:
+        dims = int(torus.group(1))
+        return 2, lambda k, delta: Torus(d=dims, n_side=k)
+    return _LADDERS.get(token)
+
+
 def _feasible_sizes(token: str, delta: int, n_min: int, n_max: int):
-    """Yield (n, spec) for every feasible network size of one token."""
-    if token == "star":
-        for n in range(max(n_min, 2), n_max + 1):
-            yield n, Star(n=n)
-        return
-    if token == "chord":
-        d = 1
-        while 2**d <= n_max:
-            if 2**d >= n_min:
-                yield 2**d, ChordRing(d=d)
-            d += 1
-        return
-    if token in ("debruijn", "plaxton"):
-        d = 1
-        while delta**d <= n_max:
-            if delta**d >= n_min:
-                spec = DeBruijn(delta=delta, d=d) if token == "debruijn" \
-                    else PlaxtonTree(delta=delta, d=d)
-                yield delta**d, spec
-            d += 1
-        return
-    dims = int(token[len("torus"):])
-    side = 2
-    while side**dims <= n_max:
-        if side**dims >= n_min:
-            yield side**dims, Torus(d=dims, n_side=side)
-        side += 1
+    """Yield (n, spec) for every feasible network size of one token.
+
+    The first spec is built before any size is compared, so a ``delta``
+    outside a geometry's domain raises ``InvalidParameterError``.
+    """
+    ladder = _ladder(token)
+    if ladder is None:
+        raise InvalidParameterError(f"unknown geometry token {token!r}")
+    k, spec_at = ladder
+    spec = spec_at(k, delta)
+    while spec.node_count <= n_max:
+        if spec.node_count >= n_min:
+            yield spec.node_count, spec
+        k += 1
+        spec = spec_at(k, delta)
 
 
 def cmd_sweep(geometries: Sequence[str], n_range: tuple[int, int], params: CostParams,

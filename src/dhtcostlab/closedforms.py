@@ -32,8 +32,8 @@ class StarCosts:
     peripheral_cost: float
 
 
-def star_costs(params: CostParams, n: int) -> StarCosts:
-    """Hub and spoke costs in a star of ``n`` nodes, ``n >= 2``.
+def star_breakdowns(params: CostParams, n: int) -> tuple[CostBreakdown, CostBreakdown]:
+    """Per-component costs of the hub and of one spoke, ``n >= 2``.
 
     The hub maintains n - 1 links, relays every spoke-to-spoke request
     and reaches everything in one hop.  A spoke maintains one link,
@@ -43,9 +43,20 @@ def star_costs(params: CostParams, n: int) -> StarCosts:
     if n < 2:
         raise UnsupportedParameterError(f"star costs need n >= 2, got {n}")
     s, a, r, m = params.s, params.a, params.r, params.m
-    center = m * (n - 1) + s / n + a * (n - 1) / n + r * (n - 1) * (n - 2) / n**2
-    peripheral = m + (s + a * (2 * n - 3)) / n
-    return StarCosts(center_cost=center, peripheral_cost=peripheral)
+    hub = CostBreakdown(
+        service=s / n,
+        access=a * (n - 1) / n,
+        routing=r * (n - 1) * (n - 2) / n**2,
+        maintenance=m * (n - 1),
+    )
+    spoke = CostBreakdown(service=s / n, access=a * (2 * n - 3) / n, routing=0.0, maintenance=m)
+    return hub, spoke
+
+
+def star_costs(params: CostParams, n: int) -> StarCosts:
+    """Hub and spoke totals of ``star_breakdowns``, ``n >= 2``."""
+    hub, spoke = star_breakdowns(params, n)
+    return StarCosts(center_cost=hub.total, peripheral_cost=spoke.total)
 
 
 @dataclass(frozen=True)

@@ -94,14 +94,6 @@ class RequestModel:
                 f"node_count must be >= 1, got {self.node_count}"
             )
 
-    @property
-    def holder_probability(self) -> float:
-        return 1.0 / self.node_count
-
-    @property
-    def source_probability(self) -> float:
-        return 1.0 / self.node_count
-
     def sample_pairs(self, rng: np.random.Generator, count: int):
         """Draw ``count`` (source, holder) pairs as two int64 arrays."""
         if count < 0:
@@ -110,25 +102,3 @@ class RequestModel:
         holders = rng.integers(0, self.node_count, size=count, dtype=np.int64)
         return sources, holders
 
-
-def service_cost(params: CostParams, node_count: int) -> float:
-    """Expected service cost of one node, identical across the network."""
-    _require_positive_n(node_count)
-    return params.s / node_count
-
-
-def maintenance_cost(params: CostParams, degree: int) -> float:
-    """Maintenance cost of a node with ``degree`` open links."""
-    if degree < 0:
-        raise InvalidParameterError(f"degree must be >= 0, got {degree}")
-    return params.m * degree
-
-
-def total_cost(breakdown: CostBreakdown) -> float:
-    """Sum of the four components of a breakdown."""
-    return breakdown.total
-
-
-def _require_positive_n(node_count: int):
-    if node_count < 1:
-        raise InvalidParameterError(f"node_count must be >= 1, got {node_count}")

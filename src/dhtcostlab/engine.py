@@ -8,9 +8,9 @@ The three ways to obtain per-node costs share one vocabulary:
 
 All three return a ``CostReport`` so they can be cross-checked with
 ``compare``.  Enumeration and simulation run on the same vectorized
-per-geometry pair kernels; the readable scalar routes in ``topologies``
-stay the reference implementation and the test suite pins the kernels
-to them.
+pair kernel, the ``pairs`` method of each topology class; the readable
+scalar ``route`` beside it stays the reference implementation and the
+test suite pins the kernels to it.
 
 Simulation normalization.  With ``requests`` sampled pairs (X, J) drawn
 independently and uniformly, the unbiased per-node estimators are
@@ -27,7 +27,7 @@ the model wants the N-fold multiple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -44,7 +44,6 @@ from .costmodel import (
 )
 from .topologies import (
     ChordRing,
-    DeBruijn,
     GeometrySpec,
     PlaxtonTree,
     Star,
@@ -119,14 +118,6 @@ class CostReport:
         return np.array([getattr(b, name) for b in self.per_node])
 
 
-@dataclass(frozen=True)
-class LoadingProfile:
-    """How many ordered pairs each node relays, and the network total."""
-
-    per_node: tuple[int, ...]
-    total: int
-
-
 @dataclass
 class RouteCensus:
     """Raw integer counters from a full walk over all N**2 pairs."""
@@ -158,130 +149,12 @@ class ComparisonTable:
 
 
 # ---------------------------------------------------------------------------
-# vectorized pair kernels
-#
-# Each kernel takes equal-length int64 arrays of sources and
-# destinations, returns the canonical hop count per pair, and adds one
-# to ``loading[v]`` for every pair whose route crosses v strictly
-# between the endpoints.  Semantics match Topology.route exactly.
-
-
-def _star_pairs(topo, src, dst, loading):
-    moving = src != dst
-    direct = moving & ((src == 0) | (dst == 0))
-    relayed = moving & ~direct
-    loading[0] += int(np.count_nonzero(relayed))
-    return moving.astype(np.int64) + relayed.astype(np.int64)
-
-
-def _debruijn_pairs(topo, src, dst, loading):
-    delta, d, n = topo.delta, topo.d, topo.node_count
-    pw = delta ** np.arange(d + 1, dtype=np.int64)
-    overlap = np.zeros(src.shape, dtype=np.int64)
-    undecided = src != dst
-    # longest suffix-of-source == prefix-of-destination match wins
-    for ell in range(d - 1, 0, -1):
-        hit = undecided & (src % pw[ell] == dst // pw[d - ell])
-        overlap[hit] = ell
-        undecided &= ~hit
-    hops = np.where(src == dst, 0, d - overlap)
-    for step in range(1, d):
-        live = hops > step
-        if not live.any():
-            break
-        # word after `step` appends: tail of src, then the symbols of
-        # dst consumed so far (skipping the overlapped prefix)
-        pending = hops[live] - step
-        word = (src[live] % pw[d - step]) * pw[step]
-        word += (dst[live] // pw[pending]) % pw[step]
-        loading += np.bincount(word, minlength=n)
-    return hops
-
-
-def _torus_pairs(topo, src, dst, loading):
-    d, n, total = topo.d, topo.n_side, topo.node_count
-    weights = n ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    steps = np.empty((d, src.size), dtype=np.int64)
-    sign = np.empty((d, src.size), dtype=np.int64)
-    for axis in range(d):
-        forward = (dst // weights[axis] - src // weights[axis]) % n
-        positive = 2 * forward <= n  # shorter arc, ties positive
-        steps[axis] = np.where(positive, forward, n - forward)
-        sign[axis] = np.where(positive, 1, -1)
-    hops = steps.sum(axis=0)
-    cur = src.copy()
-    walked = np.zeros(src.size, dtype=np.int64)
-    for axis in range(d):
-        remaining = steps[axis].copy()
-        while True:
-            active = remaining > 0
-            if not active.any():
-                break
-            digit = (cur[active] // weights[axis]) % n
-            moved = (digit + sign[axis][active]) % n
-            cur[active] += (moved - digit) * weights[axis]
-            remaining[active] -= 1
-            walked[active] += 1
-            inter = active & (walked < hops)
-            loading += np.bincount(cur[inter], minlength=total)
-    return hops
-
-
-def _plaxton_pairs(topo, src, dst, loading):
-    delta, d, total = topo.delta, topo.d, topo.node_count
-    weights = delta ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    hops = np.zeros(src.size, dtype=np.int64)
-    for axis in range(d):
-        hops += (src // weights[axis] - dst // weights[axis]) % delta != 0
-    cur = src.copy()
-    fixed = np.zeros(src.size, dtype=np.int64)
-    for axis in range(d):
-        have = (cur // weights[axis]) % delta
-        want = (dst // weights[axis]) % delta
-        mismatch = have != want
-        cur += np.where(mismatch, (want - have) * weights[axis], 0)
-        fixed += mismatch
-        inter = mismatch & (fixed < hops)
-        loading += np.bincount(cur[inter], minlength=total)
-    return hops
-
-
-def _chord_pairs(topo, src, dst, loading):
-    d, total = topo.d, topo.node_count
-    gap = (dst - src) % total
-    hops = np.zeros(src.size, dtype=np.int64)
-    for bit in range(d):
-        hops += (gap >> bit) & 1
-    cur = src.copy()
-    walked = np.zeros(src.size, dtype=np.int64)
-    for bit in range(d - 1, -1, -1):
-        take = ((gap >> bit) & 1).astype(bool)
-        cur = np.where(take, (cur + (1 << bit)) % total, cur)
-        walked += take
-        inter = take & (walked < hops)
-        loading += np.bincount(cur[inter], minlength=total)
-    return hops
-
-
-_KERNELS = {
-    Star: _star_pairs,
-    DeBruijn: _debruijn_pairs,
-    Torus: _torus_pairs,
-    PlaxtonTree: _plaxton_pairs,
-    ChordRing: _chord_pairs,
-}
+# exact enumeration
 
 
 def pair_kernel(topology: Topology, src, dst, loading) -> np.ndarray:
     """Hop counts for pair arrays, accumulating relays into ``loading``."""
-    kernel = _KERNELS.get(type(topology.spec))
-    if kernel is None:
-        raise InvalidParameterError(f"no kernel for {topology.spec!r}")
-    return kernel(topology, np.asarray(src, np.int64), np.asarray(dst, np.int64), loading)
-
-
-# ---------------------------------------------------------------------------
-# exact enumeration
+    return topology.pairs(np.asarray(src, np.int64), np.asarray(dst, np.int64), loading)
 
 
 def route_census(topology: Topology, max_nodes: Optional[int] = None) -> RouteCensus:
@@ -303,15 +176,6 @@ def route_census(topology: Topology, max_nodes: Optional[int] = None) -> RouteCe
         hops = pair_kernel(topology, src, dst, loading)
         hop_sums[rows] = hops.reshape(rows.size, n).sum(axis=1)
     return RouteCensus(hop_sums=hop_sums, loading=loading, pair_count=n * n)
-
-
-def node_loading(topology: Topology, max_nodes: Optional[int] = None) -> LoadingProfile:
-    """Exact per-node relay counts over all ordered pairs."""
-    census = route_census(topology, max_nodes=max_nodes)
-    return LoadingProfile(
-        per_node=tuple(int(x) for x in census.loading),
-        total=int(census.loading.sum()),
-    )
 
 
 def _degree_array(topology: Topology) -> np.ndarray:
@@ -385,6 +249,23 @@ def enumerate_exact(topology: Topology, params: CostParams,
 # closed forms as a report
 
 
+def _star_per_node(params: CostParams, n: int) -> tuple[CostBreakdown, ...]:
+    hub, spoke = closedforms.star_breakdowns(params, n)
+    return (hub,) + (spoke,) * (n - 1)
+
+
+#: Closed forms by spec class, called with the spec's fields.  The star
+#: yields one breakdown per node; torus, plaxton and chord are
+#: node-transitive and yield the one breakdown every node shares.  De
+#: Bruijn graphs have bounds only (``closedforms.debruijn_bounds``).
+_CLOSED_FORMS = {
+    Star: _star_per_node,
+    Torus: closedforms.torus_costs,
+    PlaxtonTree: closedforms.plaxton_costs,
+    ChordRing: closedforms.chord_costs,
+}
+
+
 def analytic_report(spec: GeometrySpec, params: CostParams) -> CostReport:
     """Closed-form per-node costs where a geometry has them.
 
@@ -394,37 +275,14 @@ def analytic_report(spec: GeometrySpec, params: CostParams) -> CostReport:
     closed form.  De Bruijn graphs have no per-node closed form, only
     bounds; ask ``closedforms.debruijn_bounds`` for those.
     """
-    n = spec.node_count
-    if isinstance(spec, Star):
-        if n < 2:
-            raise UnsupportedParameterError("star closed forms need n >= 2")
-        s, a, r, m = params.s, params.a, params.r, params.m
-        center = CostBreakdown(
-            service=s / n,
-            access=a * (n - 1) / n,
-            routing=r * (n - 1) * (n - 2) / n**2,
-            maintenance=m * (n - 1),
-        )
-        spoke = CostBreakdown(
-            service=s / n,
-            access=a * (2 * n - 3) / n,
-            routing=0.0,
-            maintenance=m * 1,
-        )
-        per_node = (center,) + (spoke,) * (n - 1)
-    elif isinstance(spec, Torus):
-        per_node = (closedforms.torus_costs(params, spec.d, spec.n_side),) * n
-    elif isinstance(spec, PlaxtonTree):
-        per_node = (closedforms.plaxton_costs(params, spec.delta, spec.d),) * n
-    elif isinstance(spec, ChordRing):
-        per_node = (closedforms.chord_costs(params, spec.d),) * n
-    elif isinstance(spec, DeBruijn):
+    closed_form = _CLOSED_FORMS.get(type(spec))
+    if closed_form is None:
         raise UnsupportedParameterError(
-            "debruijn per-node costs have no closed form; "
-            "use closedforms.debruijn_bounds or exact enumeration"
+            f"{spec.name} per-node costs have no closed form; "
+            "use exact enumeration or simulation"
         )
-    else:
-        raise InvalidParameterError(f"unknown geometry {spec!r}")
+    costs = closed_form(params, **asdict(spec))
+    per_node = costs if isinstance(costs, tuple) else (costs,) * spec.node_count
     return CostReport(
         method="analytic",
         geometry=spec,

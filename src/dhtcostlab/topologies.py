@@ -15,13 +15,22 @@ canonical route is deterministic, follows out-edges only, and for each
 geometry realizes the graph distance; the exact tie-breaking rules are
 documented on the concrete classes.  All cost accounting upstream is
 defined over these canonical routes.
+
+Each geometry is declared once, by two classes: a frozen spec dataclass
+whose ``name`` is its CLI name and whose fields are its parameters, and
+a ``Topology`` subclass holding the scalar ``route`` next to ``pairs``,
+the vectorized kernel that exact enumeration and simulation run on.
+The scalar route is the readable reference; the test suite pins every
+kernel to it.  ``GEOMETRIES`` maps each name to its spec class.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
+
+import numpy as np
 
 from .costmodel import InvalidParameterError, ResourceLimitError
 
@@ -38,6 +47,7 @@ DEFAULT_BUILD_LIMIT = 1_000_000
 class Star:
     """Hub and spokes on ``n`` nodes, node 0 being the hub."""
 
+    name: ClassVar[str] = "star"
     n: int
 
     def __post_init__(self):
@@ -53,6 +63,7 @@ class Star:
 class DeBruijn:
     """De Bruijn digraph on words of length ``d`` over ``delta`` symbols."""
 
+    name: ClassVar[str] = "debruijn"
     delta: int
     d: int
 
@@ -71,6 +82,7 @@ class DeBruijn:
 class Torus:
     """``d``-dimensional torus with ``n_side`` nodes per dimension."""
 
+    name: ClassVar[str] = "torus"
     d: int
     n_side: int
 
@@ -89,6 +101,7 @@ class Torus:
 class PlaxtonTree:
     """Digit-correcting mesh on words of length ``d`` over ``delta`` symbols."""
 
+    name: ClassVar[str] = "plaxton"
     delta: int
     d: int
 
@@ -107,6 +120,7 @@ class PlaxtonTree:
 class ChordRing:
     """Ring of ``2**d`` nodes with power-of-two finger links."""
 
+    name: ClassVar[str] = "chord"
     d: int
 
     def __post_init__(self):
@@ -170,7 +184,7 @@ class Topology:
     """A built geometry: node set plus out-neighbor structure.
 
     Nodes are the integers ``0 .. node_count - 1``.  Subclasses provide
-    ``out_neighbors``, ``degree``, ``route`` and ``label``.
+    ``out_neighbors``, ``degree``, ``route``, ``pairs`` and ``label``.
     """
 
     def __init__(self, spec: GeometrySpec):
@@ -189,6 +203,15 @@ class Topology:
 
     def route(self, source: int, destination: int) -> list[int]:
         """Canonical route as a node list, ``[source, ..., destination]``."""
+        raise NotImplementedError
+
+    def pairs(self, src: np.ndarray, dst: np.ndarray, loading: np.ndarray) -> np.ndarray:
+        """Vectorized ``route`` over equal-length int64 pair arrays.
+
+        Returns the canonical hop count per pair and adds one to
+        ``loading[v]`` for every pair whose route crosses v strictly
+        between the endpoints.  Semantics match ``route`` exactly.
+        """
         raise NotImplementedError
 
     def label(self, node: int) -> str:
@@ -224,8 +247,30 @@ class StarTopology(Topology):
             return [source, destination]
         return [source, 0, destination]
 
+    def pairs(self, src, dst, loading):
+        moving = src != dst
+        direct = moving & ((src == 0) | (dst == 0))
+        relayed = moving & ~direct
+        loading[0] += int(np.count_nonzero(relayed))
+        return moving.astype(np.int64) + relayed.astype(np.int64)
 
-class DeBruijnTopology(Topology):
+
+class _WordTopology(Topology):
+    """Words of length ``d`` over ``delta`` symbols, most significant first."""
+
+    def __init__(self, spec: Union[DeBruijn, PlaxtonTree]):
+        super().__init__(spec)
+        self.delta = spec.delta
+        self.d = spec.d
+
+    def label(self, node):
+        self._check_node(node)
+        digits = _digits(node, self.delta, self.d)
+        sep = "" if self.delta <= 10 else "."
+        return sep.join(str(dig) for dig in digits)
+
+
+class DeBruijnTopology(_WordTopology):
     """Shift-and-append routing.
 
     The canonical route appends the destination word one symbol at a
@@ -233,11 +278,6 @@ class DeBruijnTopology(Topology):
     and a prefix of the destination.  Shortest paths in a de Bruijn
     digraph are unique, so no tie-breaking is needed.
     """
-
-    def __init__(self, spec: DeBruijn):
-        super().__init__(spec)
-        self.delta = spec.delta
-        self.d = spec.d
 
     def out_neighbors(self, node):
         self._check_node(node)
@@ -265,11 +305,28 @@ class DeBruijnTopology(Topology):
                 return ell
         return 0
 
-    def label(self, node):
-        self._check_node(node)
-        digits = _digits(node, self.delta, self.d)
-        sep = "" if self.delta <= 10 else "."
-        return sep.join(str(dig) for dig in digits)
+    def pairs(self, src, dst, loading):
+        delta, d, n = self.delta, self.d, self.node_count
+        pw = delta ** np.arange(d + 1, dtype=np.int64)
+        overlap = np.zeros(src.shape, dtype=np.int64)
+        undecided = src != dst
+        # longest suffix-of-source == prefix-of-destination match wins
+        for ell in range(d - 1, 0, -1):
+            hit = undecided & (src % pw[ell] == dst // pw[d - ell])
+            overlap[hit] = ell
+            undecided &= ~hit
+        hops = np.where(src == dst, 0, d - overlap)
+        for step in range(1, d):
+            live = hops > step
+            if not live.any():
+                break
+            # word after `step` appends: tail of src, then the symbols of
+            # dst consumed so far (skipping the overlapped prefix)
+            pending = hops[live] - step
+            word = (src[live] % pw[d - step]) * pw[step]
+            word += (dst[live] // pw[pending]) % pw[step]
+            loading += np.bincount(word, minlength=n)
+        return hops
 
 
 class TorusTopology(Topology):
@@ -328,22 +385,45 @@ class TorusTopology(Topology):
                 hops.append(_from_digits(src, n))
         return hops
 
+    def pairs(self, src, dst, loading):
+        d, n, total = self.d, self.n_side, self.node_count
+        weights = n ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        steps = np.empty((d, src.size), dtype=np.int64)
+        sign = np.empty((d, src.size), dtype=np.int64)
+        for axis in range(d):
+            forward = (dst // weights[axis] - src // weights[axis]) % n
+            positive = 2 * forward <= n  # shorter arc, ties positive
+            steps[axis] = np.where(positive, forward, n - forward)
+            sign[axis] = np.where(positive, 1, -1)
+        hops = steps.sum(axis=0)
+        cur = src.copy()
+        walked = np.zeros(src.size, dtype=np.int64)
+        for axis in range(d):
+            remaining = steps[axis].copy()
+            while True:
+                active = remaining > 0
+                if not active.any():
+                    break
+                digit = (cur[active] // weights[axis]) % n
+                moved = (digit + sign[axis][active]) % n
+                cur[active] += (moved - digit) * weights[axis]
+                remaining[active] -= 1
+                walked[active] += 1
+                inter = active & (walked < hops)
+                loading += np.bincount(cur[inter], minlength=total)
+        return hops
+
     def label(self, node):
         return "(" + ",".join(str(c) for c in self.coords(node)) + ")"
 
 
-class PlaxtonTopology(Topology):
+class PlaxtonTopology(_WordTopology):
     """Digit-correcting routing, most significant digit first.
 
     Each hop rewrites exactly one digit of the current word to the
     matching digit of the destination, so the route length equals the
     Hamming distance between the words.
     """
-
-    def __init__(self, spec: PlaxtonTree):
-        super().__init__(spec)
-        self.delta = spec.delta
-        self.d = spec.d
 
     def out_neighbors(self, node):
         self._check_node(node)
@@ -368,11 +448,23 @@ class PlaxtonTopology(Topology):
                 hops.append(_from_digits(src, self.delta))
         return hops
 
-    def label(self, node):
-        self._check_node(node)
-        digits = _digits(node, self.delta, self.d)
-        sep = "" if self.delta <= 10 else "."
-        return sep.join(str(dig) for dig in digits)
+    def pairs(self, src, dst, loading):
+        delta, d, total = self.delta, self.d, self.node_count
+        weights = delta ** np.arange(d - 1, -1, -1, dtype=np.int64)
+        hops = np.zeros(src.size, dtype=np.int64)
+        for axis in range(d):
+            hops += (src // weights[axis] - dst // weights[axis]) % delta != 0
+        cur = src.copy()
+        fixed = np.zeros(src.size, dtype=np.int64)
+        for axis in range(d):
+            have = (cur // weights[axis]) % delta
+            want = (dst // weights[axis]) % delta
+            mismatch = have != want
+            cur += np.where(mismatch, (want - have) * weights[axis], 0)
+            fixed += mismatch
+            inter = mismatch & (fixed < hops)
+            loading += np.bincount(cur[inter], minlength=total)
+        return hops
 
 
 class ChordTopology(Topology):
@@ -407,6 +499,22 @@ class ChordTopology(Topology):
                 hops.append(node)
         return hops
 
+    def pairs(self, src, dst, loading):
+        d, total = self.d, self.node_count
+        gap = (dst - src) % total
+        hops = np.zeros(src.size, dtype=np.int64)
+        for bit in range(d):
+            hops += (gap >> bit) & 1
+        cur = src.copy()
+        walked = np.zeros(src.size, dtype=np.int64)
+        for bit in range(d - 1, -1, -1):
+            take = ((gap >> bit) & 1).astype(bool)
+            cur = np.where(take, (cur + (1 << bit)) % total, cur)
+            walked += take
+            inter = take & (walked < hops)
+            loading += np.bincount(cur[inter], minlength=total)
+        return hops
+
     def label(self, node):
         self._check_node(node)
         return format(node, f"0{self.d}b")
@@ -419,6 +527,9 @@ _TOPOLOGY_CLASSES = {
     PlaxtonTree: PlaxtonTopology,
     ChordRing: ChordTopology,
 }
+
+#: Spec class by CLI name, in the CLI's listing order.
+GEOMETRIES = {spec.name: spec for spec in _TOPOLOGY_CLASSES}
 
 
 # ---------------------------------------------------------------------------

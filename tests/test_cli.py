@@ -4,6 +4,7 @@ Covers the exit-code contract (0 success, 1 usage, 2 infeasible,
 3 guard), the stable CSV/JSON schemas, and byte-level determinism.
 """
 
+import argparse
 import csv
 import json
 import os
@@ -12,15 +13,26 @@ import sys
 
 import pytest
 
+from dhtcostlab import (
+    GEOMETRIES,
+    ChordRing,
+    DeBruijn,
+    PlaxtonTree,
+    Star,
+    Torus,
+)
+from dhtcostlab.cli import _feasible_sizes, build_parser
+
 CLI = [sys.executable, "-m", "dhtcostlab.cli"]
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     env.pop("DHTCOSTLAB_MAX_N", None)
     if env_extra:
         env.update(env_extra)
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +52,15 @@ def test_usage_errors_exit_one():
     assert run_cli("analyze", "--geometry", "star", "--n", "5",
                    "--methods", "bogus").returncode == 1
     assert run_cli("bogus-command").returncode == 1
+
+
+def test_geometry_choices_follow_the_registry():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("analyze", "pernode-dump"):
+        flag = next(a for a in commands.choices[command]._actions if a.dest == "geometry")
+        assert flag.choices == list(GEOMETRIES)
+    assert list(GEOMETRIES) == ["star", "debruijn", "torus", "plaxton", "chord"]
 
 
 def test_infeasible_parameters_exit_two():
@@ -100,6 +121,27 @@ def test_analyze_json_schema(tmp_path):
     # the two methods coincide for chord
     for a, b in zip(payload["reports"][0]["per_node"], exact["per_node"]):
         assert a["total"] == pytest.approx(b["total"], rel=1e-12)
+
+
+@pytest.mark.parametrize("flags, geometry", [
+    (("--geometry", "star", "--n", "5"), {"geometry": "star", "n": 5}),
+    (("--geometry", "debruijn", "--delta", "2", "--d", "3"),
+     {"geometry": "debruijn", "delta": 2, "d": 3}),
+    (("--geometry", "torus", "--d", "2", "--n-side", "3"),
+     {"geometry": "torus", "d": 2, "n_side": 3}),
+    (("--geometry", "plaxton", "--delta", "3", "--d", "2"),
+     {"geometry": "plaxton", "delta": 3, "d": 2}),
+    (("--geometry", "chord", "--d", "3"), {"geometry": "chord", "d": 3}),
+], ids=["star", "debruijn", "torus", "plaxton", "chord"])
+def test_analyze_json_geometry_object(tmp_path, flags, geometry):
+    out = tmp_path / "report.json"
+    proc = run_cli("analyze", *flags, "--methods", "exact", "--format", "json",
+                   "--out", str(out))
+    assert proc.returncode == 0
+    payload = json.loads(out.read_text())
+    for echoed in (payload["config"]["geometry"], payload["reports"][0]["geometry"]):
+        assert echoed == geometry
+        assert list(echoed) == list(geometry)
 
 
 def test_analyze_csv_schema_and_roundtrip(tmp_path):
@@ -201,10 +243,46 @@ def test_sweep_feasible_sizes(tmp_path):
     t25 = [r for r in rows if r["geometry"] == "torus2" and r["actual_n"] == "25"][0]
     assert float(t25["mean_access"]) == 2.5
 
+    # every token's ladder at two deltas, recorded before the ladders
+    # became one table
+    for delta in (2, 3):
+        assert list(_feasible_sizes("star", delta, 2, 9)) == [
+            (2, Star(n=2)), (3, Star(n=3)), (4, Star(n=4)), (5, Star(n=5)),
+            (6, Star(n=6)), (7, Star(n=7)), (8, Star(n=8)), (9, Star(n=9))]
+        assert list(_feasible_sizes("chord", delta, 2, 9)) == [
+            (2, ChordRing(d=1)), (4, ChordRing(d=2)), (8, ChordRing(d=3))]
+        assert list(_feasible_sizes("torus1", delta, 2, 9)) == [
+            (2, Torus(d=1, n_side=2)), (3, Torus(d=1, n_side=3)), (4, Torus(d=1, n_side=4)),
+            (5, Torus(d=1, n_side=5)), (6, Torus(d=1, n_side=6)), (7, Torus(d=1, n_side=7)),
+            (8, Torus(d=1, n_side=8)), (9, Torus(d=1, n_side=9))]
+        assert list(_feasible_sizes("torus3", delta, 2, 9)) == [(8, Torus(d=3, n_side=2))]
+    assert list(_feasible_sizes("debruijn", 2, 2, 9)) == [
+        (2, DeBruijn(delta=2, d=1)), (4, DeBruijn(delta=2, d=2)), (8, DeBruijn(delta=2, d=3))]
+    assert list(_feasible_sizes("debruijn", 3, 2, 9)) == [
+        (3, DeBruijn(delta=3, d=1)), (9, DeBruijn(delta=3, d=2))]
+    assert list(_feasible_sizes("plaxton", 2, 2, 9)) == [
+        (2, PlaxtonTree(delta=2, d=1)), (4, PlaxtonTree(delta=2, d=2)),
+        (8, PlaxtonTree(delta=2, d=3))]
+    assert list(_feasible_sizes("plaxton", 3, 2, 9)) == [
+        (3, PlaxtonTree(delta=3, d=1)), (9, PlaxtonTree(delta=3, d=2))]
+
 
 def test_sweep_empty_feasible_set_exits_two():
     proc = run_cli("sweep", "--geometries", "chord", "--n-min", "5000", "--n-max", "6000")
     assert proc.returncode == 2
+
+
+# A ladder whose size never grows would never pass --n-max.  Each of
+# these used to run until killed; the timeout turns a hang into a failure.
+@pytest.mark.parametrize("args, code", [
+    (("--geometries", "torus0"), 1),
+    (("--geometries", "debruijn", "--delta", "1"), 2),
+    (("--geometries", "plaxton", "--delta", "0"), 2),
+], ids=["torus0", "debruijn-delta1", "plaxton-delta0"])
+def test_sweep_degenerate_ladders_exit(args, code):
+    proc = run_cli("sweep", *args, timeout=60)
+    assert proc.returncode == code
+    assert "error" in proc.stderr
 
 
 def test_sweep_sim_matches_analytic(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from dhtcostlab import (
     AllN,
     Candidate,
+    CostBreakdown,
     CostParams,
     InvalidParameterError,
     NoneBesidesTwo,
@@ -23,6 +24,7 @@ from dhtcostlab import (
     debruijn_l_max,
     plaxton_costs,
     plaxton_distance_pmf,
+    star_breakdowns,
     star_cost_gap,
     star_costs,
     star_equilibrium_size,
@@ -45,6 +47,15 @@ def test_star_costs_hand_computed():
     result = star_costs(CostParams(s=4, a=8, r=16, m=2), 4)
     assert result.center_cost == 19.0
     assert result.peripheral_cost == 13.0
+
+
+def test_star_breakdowns_hand_computed():
+    # same star as above, split by component; the totals are star_costs
+    hub, spoke = star_breakdowns(CostParams(s=4, a=8, r=16, m=2), 4)
+    assert hub == CostBreakdown(service=1.0, access=6.0, routing=6.0, maintenance=6)
+    assert spoke == CostBreakdown(service=1.0, access=10.0, routing=0.0, maintenance=2)
+    with pytest.raises(UnsupportedParameterError):
+        star_breakdowns(PRICED, 1)
 
 
 def test_star_costs_two_nodes_tie():

@@ -10,9 +10,6 @@ from dhtcostlab import (
     CostParams,
     InvalidParameterError,
     RequestModel,
-    maintenance_cost,
-    service_cost,
-    total_cost,
 )
 
 
@@ -38,30 +35,16 @@ def test_params_reject_non_finite(bad):
 def test_breakdown_total_is_component_sum():
     b = CostBreakdown(service=0.5, access=1.25, routing=3.0, maintenance=0.25)
     assert b.total == 5.0
-    assert total_cost(b) == b.total
-
-
-def test_service_cost_uniform_share():
-    p = CostParams(s=7.0, a=0, r=0, m=0)
-    assert service_cost(p, 14) == 0.5
-    with pytest.raises(InvalidParameterError):
-        service_cost(p, 0)
-
-
-def test_maintenance_cost_scales_with_degree():
-    p = CostParams(s=0, a=0, r=0, m=1.5)
-    assert maintenance_cost(p, 4) == 6.0
-    assert maintenance_cost(p, 0) == 0.0
-    with pytest.raises(InvalidParameterError):
-        maintenance_cost(p, -1)
 
 
 def test_request_model_validation_and_probabilities():
     with pytest.raises(InvalidParameterError):
         RequestModel(node_count=0)
     model = RequestModel(node_count=8)
-    assert model.holder_probability == 0.125
-    assert model.source_probability == 0.125
+    with pytest.raises(InvalidParameterError):
+        model.sample_pairs(np.random.default_rng(0), -1)
+    src, dst = model.sample_pairs(np.random.default_rng(0), 0)
+    assert src.size == dst.size == 0
 
 
 def test_request_model_sampling_is_uniform_and_seeded():

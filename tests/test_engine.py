@@ -24,7 +24,6 @@ from dhtcostlab import (
     compare,
     enumerate_exact,
     is_repeated_symbol_node,
-    node_loading,
     route_census,
     simulate,
     simulate_seeds,
@@ -106,30 +105,30 @@ def test_census_conservation_identity():
 
 
 def test_node_loading_star():
-    profile = node_loading(build(Star(n=9)))
-    assert profile.per_node[0] == 8 * 7
-    assert all(x == 0 for x in profile.per_node[1:])
-    assert profile.total == 56
+    loading = route_census(build(Star(n=9))).loading
+    assert loading[0] == 8 * 7
+    assert not loading[1:].any()
+    assert loading.sum() == 56
 
 
 def test_node_loading_single_ring():
-    profile = node_loading(build(Torus(d=1, n_side=7)))
-    assert profile.per_node == (6,) * 7
+    loading = route_census(build(Torus(d=1, n_side=7))).loading
+    assert loading.tolist() == [6] * 7
 
 
 def test_node_loading_debruijn_repeated_symbol_nodes():
     spec = DeBruijn(delta=2, d=3)
-    profile = node_loading(build(spec))
-    zero_nodes = {i for i, x in enumerate(profile.per_node) if x == 0}
+    loading = route_census(build(spec)).loading
+    zero_nodes = set(np.flatnonzero(loading == 0).tolist())
     assert zero_nodes == {0b000, 0b111}
     assert all(is_repeated_symbol_node(spec, i) for i in zero_nodes)
 
 
 def test_torus_loading_uniform_and_matches_closed_form():
     for d, side in [(1, 5), (2, 4), (2, 5), (3, 3), (3, 4)]:
-        profile = node_loading(build(Torus(d=d, n_side=side)))
+        loading = route_census(build(Torus(d=d, n_side=side))).loading
         expected = torus_loading(d, side)
-        assert set(profile.per_node) == {expected}, (d, side)
+        assert set(loading.tolist()) == {expected}, (d, side)
 
 
 def test_enumeration_guard():
