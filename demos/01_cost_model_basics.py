@@ -18,9 +18,9 @@ def main() -> None:
     print()
     print(f"{'node':>4} {'service':>8} {'access':>8} {'routing':>8} "
           f"{'maint':>8} {'total':>8}")
-    for node, costs in enumerate(report.per_node):
-        print(f"{node:>4} {costs.service:8.3f} {costs.access:8.3f} "
-              f"{costs.routing:8.3f} {costs.maintenance:8.3f} {costs.total:8.3f}")
+    for node, total in enumerate(report.total):
+        print(f"{node:>4} {report.service[node]:8.3f} {report.access[node]:8.3f} "
+              f"{report.routing[node]:8.3f} {report.maintenance[node]:8.3f} {total:8.3f}")
 
     agg = report.aggregates
     print()

@@ -33,7 +33,7 @@ def main() -> None:
         debruijn = mean_access(DeBruijn(delta=2, d=d), params)
         side = round(n**0.5)
         torus = mean_access(Torus(d=2, n_side=side), params)
-        hub_routing = star.per_node[0].routing
+        hub_routing = star.routing[0]
         print(f"{n:>5} {star.aggregates.access.mean:>7.3f} {chord:>7.3f} "
               f"{debruijn:>9.3f} {torus:>7.3f} {hub_routing:>17.1f}")
     print()

@@ -26,7 +26,7 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass, fields
-from typing import Optional, Sequence, TextIO
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
 from . import closedforms, engine
 from .costmodel import (
@@ -53,6 +53,10 @@ ENV_GUARD = "DHTCOSTLAB_MAX_N"
 _METHOD_TOKENS = ("analytic", "exact", "sim")
 _PER_NODE_HEADER = ("node_id", "service", "access", "routing", "maintenance", "total")
 _SWEEP_HEADER = ("geometry", "requested_n", "actual_n", "method", "mean_access", "mean_routing")
+
+#: Per-node rows are converted from the report arrays this many at a
+#: time, so a writer never holds all N rows as Python objects.
+_ROW_BLOCK = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -269,18 +273,30 @@ def _report_dict(report: engine.CostReport, labels: Sequence[str]) -> dict:
         "params": _params_dict(report.params),
         "aggregates": aggregates,
         "sim_meta": meta,
-        "per_node": [
-            {
-                "node_id": labels[i],
-                "service": b.service,
-                "access": b.access,
-                "routing": b.routing,
-                "maintenance": b.maintenance,
-                "total": b.total,
-            }
-            for i, b in enumerate(report.per_node)
-        ],
+        "per_node": _RowStream(
+            lambda: (dict(zip(_PER_NODE_HEADER, row)) for row in _per_node_rows(report, labels)),
+            len(labels),
+        ),
     }
+
+
+class _RowStream(list):
+    """A JSON array whose ``count`` items are made as the encoder asks.
+
+    ``json``'s indenting encoder takes any ``list`` subclass, tests it
+    for emptiness and iterates it once; both go through the overrides.
+    """
+
+    def __init__(self, make_rows: Callable[[], Iterator], count: int):
+        super().__init__()
+        self._make_rows = make_rows
+        self._count = count
+
+    def __len__(self):
+        return self._count
+
+    def __iter__(self):
+        return self._make_rows()
 
 
 def _bounds_dict(bounds: closedforms.DeBruijnBounds) -> dict:
@@ -299,8 +315,12 @@ def _write_json(path: str, payload: dict):
 
 
 def _per_node_rows(report: engine.CostReport, labels: Sequence[str]):
-    for i, b in enumerate(report.per_node):
-        yield (labels[i], b.service, b.access, b.routing, b.maintenance, b.total)
+    """(label, service, access, routing, maintenance, total) per node."""
+    columns = (report.service, report.access, report.routing, report.maintenance,
+               report.total)
+    for start in range(0, len(labels), _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
+        yield from zip(labels[start:stop], *(c[start:stop].tolist() for c in columns))
 
 
 def _write_csv(stream: TextIO, header, rows):
@@ -326,8 +346,9 @@ def _print_report_summary(report: engine.CostReport):
 
 def cmd_analyze(config: RunConfig) -> int:
     spec, params = config.geometry, config.params
-    topology = build(spec)
-    labels = [topology.label(i) for i in topology.nodes()]
+    # the closed forms need no topology; enumeration, simulation and the
+    # node labels of written per-node rows do
+    topology = build(spec) if {"exact", "sim"} & set(config.methods) else None
     reports: list[engine.CostReport] = []
     bounds = None
     for method in config.methods:
@@ -341,6 +362,10 @@ def cmd_analyze(config: RunConfig) -> int:
             reports.append(engine.enumerate_exact(topology, params, max_nodes=config.max_exact_n))
         else:
             reports.append(engine.simulate_seeds(topology, params, config.requests, config.seeds))
+    labels = None
+    if config.out_path and reports:
+        topology = topology or build(spec)
+        labels = [topology.label(i) for i in topology.nodes()]
 
     print(f"{_spec_label(spec)}  N={spec.node_count}  "
           f"s={params.s:g} a={params.a:g} r={params.r:g} m={params.m:g}")

@@ -7,10 +7,14 @@ The three ways to obtain per-node costs share one vocabulary:
 * ``simulate`` samples pairs uniformly and renormalizes the counters.
 
 All three return a ``CostReport`` so they can be cross-checked with
-``compare``.  Enumeration and simulation run on the same vectorized
-pair kernel, the ``pairs`` method of each topology class; the readable
-scalar ``route`` beside it stays the reference implementation and the
-test suite pins the kernels to it.
+``compare``.  A report is columnar: four float64 arrays of shape (N,),
+``service``, ``access``, ``routing`` and ``maintenance``, indexed by
+node, and a ``total`` computed from them on demand.  Enumeration and
+simulation run on the same vectorized pair kernel, the ``pairs`` method
+of each topology class; the readable scalar ``route`` beside it stays
+the reference implementation and the test suite pins the kernels to it.
+Maintenance prices ``degrees()``, the topology's vectorized out-degree
+array, which the test suite pins to ``out_neighbors``.
 
 Simulation normalization.  With ``requests`` sampled pairs (X, J) drawn
 independently and uniformly, the unbiased per-node estimators are
@@ -35,7 +39,6 @@ import numpy as np
 
 from . import closedforms
 from .costmodel import (
-    CostBreakdown,
     CostParams,
     InvalidParameterError,
     RequestModel,
@@ -59,7 +62,13 @@ DEFAULT_EXACT_LIMIT = 4096
 #: scratch arrays comfortably in cache-friendly territory.
 _PAIR_BLOCK = 1 << 19
 
-COMPONENTS = ("service", "access", "routing", "maintenance", "total")
+#: Closed-form reports refuse networks above this size: the five
+#: float64 columns a report and its aggregates hold take 40 bytes a node.
+ANALYTIC_REPORT_LIMIT = 1 << 22
+
+#: The four per-node arrays of a report; "total" is their sum.
+_ARRAYS = ("service", "access", "routing", "maintenance")
+COMPONENTS = _ARRAYS + ("total",)
 
 
 # ---------------------------------------------------------------------------
@@ -98,24 +107,47 @@ class SimMeta:
     requests: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostReport:
-    """Per-node costs for one geometry obtained by one method."""
+    """Per-node costs for one geometry obtained by one method.
+
+    Each component is a read-only float64 array of shape (N,) whose
+    entry i is node i's expected cost per request.
+    """
 
     method: str  # "analytic" | "exact" | "simulated"
     geometry: GeometrySpec
     params: CostParams
-    per_node: tuple[CostBreakdown, ...]
+    service: np.ndarray
+    access: np.ndarray
+    routing: np.ndarray
+    maintenance: np.ndarray
     aggregates: Aggregates
     sim_meta: Optional[SimMeta] = None
+
+    def __post_init__(self):
+        for name in _ARRAYS:
+            getattr(self, name).setflags(write=False)
+
+    @property
+    def total(self) -> np.ndarray:
+        """Per-node sum of the four components, added in field order."""
+        return self.service + self.access + self.routing + self.maintenance
 
     def component(self, name: str) -> np.ndarray:
         """Per-node values of one component (or "total") as an array."""
         if name not in COMPONENTS:
             raise InvalidParameterError(f"unknown component {name!r}")
-        if name == "total":
-            return np.array([b.total for b in self.per_node])
-        return np.array([getattr(b, name) for b in self.per_node])
+        return getattr(self, name)
+
+    def __eq__(self, other):
+        if not isinstance(other, CostReport):
+            return NotImplemented
+        return (
+            (self.method, self.geometry, self.params, self.aggregates, self.sim_meta)
+            == (other.method, other.geometry, other.params, other.aggregates, other.sim_meta)
+            and all(np.array_equal(getattr(self, n), getattr(other, n)) for n in _ARRAYS)
+        )
 
 
 @dataclass
@@ -178,41 +210,29 @@ def route_census(topology: Topology, max_nodes: Optional[int] = None) -> RouteCe
     return RouteCensus(hop_sums=hop_sums, loading=loading, pair_count=n * n)
 
 
-def _degree_array(topology: Topology) -> np.ndarray:
-    return np.fromiter(
-        (topology.degree(i) for i in topology.nodes()),
-        dtype=np.int64,
-        count=topology.node_count,
-    )
-
-
-def _assemble_report(method, topology, params, service, access, routing,
+def _assemble_report(method, spec, params, service, access, routing,
                      maintenance, sim_meta=None) -> CostReport:
-    per_node = tuple(
-        CostBreakdown(
-            service=float(service[i]),
-            access=float(access[i]),
-            routing=float(routing[i]),
-            maintenance=float(maintenance[i]),
-        )
-        for i in range(topology.node_count)
-    )
     return CostReport(
         method=method,
-        geometry=topology.spec,
+        geometry=spec,
         params=params,
-        per_node=per_node,
-        aggregates=_aggregate(per_node),
+        service=service,
+        access=access,
+        routing=routing,
+        maintenance=maintenance,
+        aggregates=_aggregate(service, access, routing, maintenance),
         sim_meta=sim_meta,
     )
 
 
-def _aggregate(per_node) -> Aggregates:
+def _aggregate(service, access, routing, maintenance) -> Aggregates:
     arrays = {
-        name: np.array([getattr(b, name) for b in per_node])
-        for name in ("service", "access", "routing", "maintenance")
+        "service": service,
+        "access": access,
+        "routing": routing,
+        "maintenance": maintenance,
+        "total": service + access + routing + maintenance,
     }
-    arrays["total"] = sum(arrays.values())
     stats = {
         name: ComponentStats(
             mean=float(values.mean()), min=float(values.min()), max=float(values.max())
@@ -241,25 +261,21 @@ def enumerate_exact(topology: Topology, params: CostParams,
     service = np.full(n, params.s / n)
     access = params.a * census.hop_sums / n
     routing = params.r * census.loading / n**2
-    maintenance = params.m * _degree_array(topology)
-    return _assemble_report("exact", topology, params, service, access, routing, maintenance)
+    maintenance = params.m * topology.degrees()
+    return _assemble_report("exact", topology.spec, params, service, access, routing,
+                            maintenance)
 
 
 # ---------------------------------------------------------------------------
 # closed forms as a report
 
 
-def _star_per_node(params: CostParams, n: int) -> tuple[CostBreakdown, ...]:
-    hub, spoke = closedforms.star_breakdowns(params, n)
-    return (hub,) + (spoke,) * (n - 1)
-
-
 #: Closed forms by spec class, called with the spec's fields.  The star
-#: yields one breakdown per node; torus, plaxton and chord are
-#: node-transitive and yield the one breakdown every node shares.  De
-#: Bruijn graphs have bounds only (``closedforms.debruijn_bounds``).
+#: yields the hub's and a spoke's breakdown; torus, plaxton and chord
+#: are node-transitive and yield the one breakdown every node shares.
+#: De Bruijn graphs have bounds only (``closedforms.debruijn_bounds``).
 _CLOSED_FORMS = {
-    Star: _star_per_node,
+    Star: closedforms.star_breakdowns,
     Torus: closedforms.torus_costs,
     PlaxtonTree: closedforms.plaxton_costs,
     ChordRing: closedforms.chord_costs,
@@ -273,7 +289,8 @@ def analytic_report(spec: GeometrySpec, params: CostParams) -> CostReport:
     are node-transitive so one breakdown is replicated.  The torus
     access entry carries the n_side / 4 ring approximation of its
     closed form.  De Bruijn graphs have no per-node closed form, only
-    bounds; ask ``closedforms.debruijn_bounds`` for those.
+    bounds; ask ``closedforms.debruijn_bounds`` for those.  Networks
+    above ``ANALYTIC_REPORT_LIMIT`` nodes are refused.
     """
     closed_form = _CLOSED_FORMS.get(type(spec))
     if closed_form is None:
@@ -281,15 +298,19 @@ def analytic_report(spec: GeometrySpec, params: CostParams) -> CostReport:
             f"{spec.name} per-node costs have no closed form; "
             "use exact enumeration or simulation"
         )
+    n = spec.node_count
+    if n > ANALYTIC_REPORT_LIMIT:
+        raise ResourceLimitError(
+            f"a per-node report over {n} nodes exceeds the limit of "
+            f"{ANALYTIC_REPORT_LIMIT} nodes"
+        )
     costs = closed_form(params, **asdict(spec))
-    per_node = costs if isinstance(costs, tuple) else (costs,) * spec.node_count
-    return CostReport(
-        method="analytic",
-        geometry=spec,
-        params=params,
-        per_node=per_node,
-        aggregates=_aggregate(per_node),
-    )
+    # the star yields (hub, spoke) and node 0 is its hub
+    first, rest = costs if isinstance(costs, tuple) else (costs, costs)
+    columns = {name: np.full(n, getattr(rest, name)) for name in _ARRAYS}
+    for name, column in columns.items():
+        column[0] = getattr(first, name)
+    return _assemble_report("analytic", spec, params, **columns)
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +339,9 @@ def simulate(topology: Topology, params: CostParams, requests: int,
     service = params.s * holder_counts / requests
     access = params.a * n * issued_hops / requests
     routing = params.r * relay_hits / requests
-    maintenance = params.m * _degree_array(topology)
+    maintenance = params.m * topology.degrees()
     meta = SimMeta(seeds=(seed,), requests=requests)
-    return _assemble_report("simulated", topology, params, service, access,
+    return _assemble_report("simulated", topology.spec, params, service, access,
                             routing, maintenance, sim_meta=meta)
 
 
@@ -333,7 +354,7 @@ def simulate_seeds(topology: Topology, params: CostParams, requests: int,
     if len(set(seeds)) != len(seeds):
         raise InvalidParameterError("seeds must be distinct")
     n = topology.node_count
-    acc = {name: np.zeros(n) for name in ("service", "access", "routing", "maintenance")}
+    acc = {name: np.zeros(n) for name in _ARRAYS}
     for seed in seeds:
         run = simulate(topology, params, requests, seed)
         for name in acc:
@@ -341,9 +362,7 @@ def simulate_seeds(topology: Topology, params: CostParams, requests: int,
     for name in acc:
         acc[name] /= len(seeds)
     meta = SimMeta(seeds=seeds, requests=requests)
-    return _assemble_report("simulated", topology, params, acc["service"],
-                            acc["access"], acc["routing"], acc["maintenance"],
-                            sim_meta=meta)
+    return _assemble_report("simulated", topology.spec, params, sim_meta=meta, **acc)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ defined over these canonical routes.
 Each geometry is declared once, by two classes: a frozen spec dataclass
 whose ``name`` is its CLI name and whose fields are its parameters, and
 a ``Topology`` subclass holding the scalar ``route`` next to ``pairs``,
-the vectorized kernel that exact enumeration and simulation run on.
-The scalar route is the readable reference; the test suite pins every
-kernel to it.  ``GEOMETRIES`` maps each name to its spec class.
+the vectorized kernel that exact enumeration and simulation run on,
+and ``degrees``, the out-degree of every node as one array.  The scalar
+``route`` and ``out_neighbors`` are the readable reference; the test
+suite pins every kernel and every degree array to them.  ``GEOMETRIES``
+maps each name to its spec class.
 """
 
 from __future__ import annotations
@@ -184,7 +186,8 @@ class Topology:
     """A built geometry: node set plus out-neighbor structure.
 
     Nodes are the integers ``0 .. node_count - 1``.  Subclasses provide
-    ``out_neighbors``, ``degree``, ``route``, ``pairs`` and ``label``.
+    ``out_neighbors``, ``degrees``, ``route`` and ``pairs``, and
+    ``degree`` or ``label`` where the defaults do not fit.
     """
 
     def __init__(self, spec: GeometrySpec):
@@ -200,6 +203,10 @@ class Topology:
     def degree(self, node: int) -> int:
         self._check_node(node)
         return len(self.out_neighbors(node))
+
+    def degrees(self) -> np.ndarray:
+        """Out-degree of every node as an int64 array; ``degree`` per node."""
+        raise NotImplementedError
 
     def route(self, source: int, destination: int) -> list[int]:
         """Canonical route as a node list, ``[source, ..., destination]``."""
@@ -237,6 +244,11 @@ class StarTopology(Topology):
     def degree(self, node):
         self._check_node(node)
         return self.node_count - 1 if node == 0 else 1
+
+    def degrees(self):
+        out = np.ones(self.node_count, dtype=np.int64)
+        out[0] = self.node_count - 1
+        return out
 
     def route(self, source, destination):
         self._check_node(source)
@@ -283,6 +295,13 @@ class DeBruijnTopology(_WordTopology):
         self._check_node(node)
         base = (node * self.delta) % self.node_count
         return tuple(base + sym for sym in range(self.delta) if base + sym != node)
+
+    def degrees(self):
+        out = np.full(self.node_count, self.delta, dtype=np.int64)
+        # the repeated-symbol words sym * 11...1 lose their self loop
+        repunit = (self.node_count - 1) // (self.delta - 1)
+        out[np.arange(self.delta) * repunit] -= 1
+        return out
 
     def route(self, source, destination):
         self._check_node(source)
@@ -366,6 +385,11 @@ class TorusTopology(Topology):
                     seen.append(other)
         return tuple(seen)
 
+    def degrees(self):
+        # on a side-2 ring both steps of an axis reach the same node
+        per_axis = 1 if self.n_side == 2 else 2
+        return np.full(self.node_count, per_axis * self.d, dtype=np.int64)
+
     def route(self, source, destination):
         src = list(self.coords(source))
         dst = self.coords(destination)
@@ -436,6 +460,9 @@ class PlaxtonTopology(_WordTopology):
                     out.append(node + (sym - digits[pos]) * weight)
         return tuple(out)
 
+    def degrees(self):
+        return np.full(self.node_count, self.d * (self.delta - 1), dtype=np.int64)
+
     def route(self, source, destination):
         self._check_node(source)
         self._check_node(destination)
@@ -486,6 +513,9 @@ class ChordTopology(Topology):
             for k in range(self.d)
             if (1 << k) % self.node_count != 0
         )
+
+    def degrees(self):
+        return np.full(self.node_count, self.d, dtype=np.int64)
 
     def route(self, source, destination):
         self._check_node(source)

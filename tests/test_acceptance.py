@@ -174,8 +174,8 @@ def test_criterion_2_closed_forms_equal_enumeration():
         table = compare([analytic, exact], rel_tol=1e-12)
         assert table.all_within(), n
         closed = star_costs(TABLE_PARAMS, n)
-        assert exact.per_node[0].total == pytest.approx(closed.center_cost, rel=1e-12)
-        assert exact.per_node[1].total == pytest.approx(closed.peripheral_cost, rel=1e-12)
+        assert exact.total[0] == pytest.approx(closed.center_cost, rel=1e-12)
+        assert exact.total[1] == pytest.approx(closed.peripheral_cost, rel=1e-12)
 
     print(f"CRITERION 2: PASS - {checked} plaxton/chord instances at 1e-12, "
           f"{torus_checked} torus loadings integer-exact, star sizes 3/5/10/100 at 1e-12")

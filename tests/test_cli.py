@@ -6,6 +6,7 @@ Covers the exit-code contract (0 success, 1 usage, 2 infeasible,
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -84,6 +85,20 @@ def test_resource_guard_exit_three():
     # tighter explicit guard
     assert run_cli("analyze", "--geometry", "star", "--n", "50",
                    "--methods", "exact", "--max-exact-n", "10").returncode == 3
+
+
+def test_analyze_analytic_needs_no_topology(tmp_path):
+    # 2**20 nodes is above the build limit; the closed form needs no build
+    args = ("analyze", "--geometry", "chord", "--d", "20", "--methods", "analytic")
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    assert "chord(d=20)  N=1048576" in proc.stdout
+    assert "method analytic" in proc.stdout
+    # written per-node rows carry node labels, which need the topology
+    proc = run_cli(*args, "--out", str(tmp_path / "rows.json"))
+    assert proc.returncode == 3
+    assert "build limit" in proc.stderr
+    assert not (tmp_path / "rows.json").exists()
 
 
 def test_env_guard_override():
@@ -370,3 +385,36 @@ def test_byte_identical_reruns(tmp_path):
     assert run_cli(*dump, "--out", str(e)).returncode == 0
     assert run_cli(*dump, "--out", str(f)).returncode == 0
     assert e.read_bytes() == f.read_bytes()
+
+
+#: SHA-256 of the files below as written before reports became columnar.
+PARENT_DIGESTS = {
+    "analyze.json": "945d9eb987ad0b13fc2809c70f13b5c6936e3f92c75595f1eb3bb83c0ea5b828",
+    "analyze.analytic.csv": "c93dc0fa4faa34fd4fec91fd60ede5b4d28b2d9956231b4262e075d584eb3b51",
+    "analyze.exact.csv": "c93dc0fa4faa34fd4fec91fd60ede5b4d28b2d9956231b4262e075d584eb3b51",
+    "analyze.simulated.csv": "9e8220c2d124ac7e613bbb4d0c2bbfd796a4790e9b16cd58472ee8960d4f4cdd",
+    "pernode.json": "13fb94fe0b65e5d782fdfafdf7093ab6beb0b0cf144ebcc5768a0343983af1d6",
+    "sweep.csv": "8d39510268aad901e5d330f8615c1fd80f0c1a5c78c5f9994b8f5bc7bec749e1",
+}
+
+
+def test_outputs_match_parent_digests(tmp_path):
+    analyze = ["analyze", "--geometry", "torus", "--d", "2", "--n-side", "4",
+               "--methods", "analytic,exact,sim", "--seeds", "5,6,7", "--requests", "4000"]
+    commands = [
+        [*analyze, "--format", "json", "--out", "analyze.json"],
+        # three methods split into analyze.{analytic,exact,simulated}.csv
+        [*analyze, "--format", "csv", "--out", "analyze.csv"],
+        ["pernode-dump", "--geometry", "plaxton", "--delta", "3", "--d", "3",
+         "--format", "json", "--out", "pernode.json"],
+        ["sweep", "--geometries", "star,chord,torus2", "--n-min", "4", "--n-max", "64",
+         "--methods", "analytic,exact,sim", "--seeds", "1,2", "--requests", "3000",
+         "--out", "sweep.csv"],
+    ]
+    for args in commands:
+        args[-1] = str(tmp_path / args[-1])
+        proc = run_cli(*args)
+        assert proc.returncode == 0, proc.stderr
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == PARENT_DIGESTS

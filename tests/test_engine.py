@@ -5,6 +5,8 @@ enumeration is held to the closed forms; simulation is held to
 enumeration.  Chains of custody, not vibes.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from dhtcostlab import (
     simulate_seeds,
     torus_loading,
 )
+from dhtcostlab import engine
 from dhtcostlab.engine import pair_kernel
 
 PRICED = CostParams(s=1.0, a=1.0, r=1000.0, m=0.5)
@@ -137,7 +140,7 @@ def test_enumeration_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_exact(build(Star(n=40)), PRICED, max_nodes=39)
     report = enumerate_exact(build(Star(n=40)), PRICED, max_nodes=40)
-    assert len(report.per_node) == 40
+    assert len(report.service) == 40
 
 
 def test_exact_star_costs_match_closed_form():
@@ -146,8 +149,8 @@ def test_exact_star_costs_match_closed_form():
     table = compare([analytic, report], rel_tol=1e-12)
     assert table.all_within(), [r for r in table.rows if not r.within_tol]
     # the hub is node zero and the only router
-    assert report.per_node[0].routing > 0
-    assert all(b.routing == 0 for b in report.per_node[1:])
+    assert report.routing[0] > 0
+    assert all(report.routing[1:] == 0)
 
 
 @pytest.mark.parametrize("spec", [
@@ -188,7 +191,7 @@ def test_aggregates_and_second_min_routing():
     assert agg.routing.min == 0.0
     assert agg.second_min_routing == routing[routing > 0].min()
     assert agg.total.mean == pytest.approx(float(report.component("total").mean()))
-    assert len(report.per_node) == 8
+    assert len(report.service) == 8
 
 
 def test_analytic_report_rejects_debruijn_and_tiny_star():
@@ -196,6 +199,15 @@ def test_analytic_report_rejects_debruijn_and_tiny_star():
         analytic_report(DeBruijn(delta=2, d=3), PRICED)
     with pytest.raises(UnsupportedParameterError):
         analytic_report(Star(n=1), PRICED)
+
+
+def test_analytic_report_size_guard(monkeypatch):
+    with pytest.raises(ResourceLimitError):
+        analytic_report(ChordRing(d=23), PRICED)
+    monkeypatch.setattr(engine, "ANALYTIC_REPORT_LIMIT", 16)
+    assert analytic_report(Star(n=16), PRICED).service.size == 16
+    with pytest.raises(ResourceLimitError):
+        analytic_report(Star(n=17), PRICED)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +230,23 @@ def test_simulate_maintenance_is_exact():
     params = CostParams(s=0, a=0, r=0, m=2.5)
     topology = build(Torus(d=2, n_side=4))
     report = simulate(topology, params, 100, seed=0)
-    for breakdown in report.per_node:
-        assert breakdown.service == 0.0
-        assert breakdown.access == 0.0
-        assert breakdown.routing == 0.0
-        assert breakdown.maintenance == 10.0
+    assert all(report.service == 0.0)
+    assert all(report.access == 0.0)
+    assert all(report.routing == 0.0)
+    assert all(report.maintenance == 10.0)
+
+
+def test_simulate_holds_no_per_node_objects():
+    # four float64 columns plus counters peak near 5 MB at 65536 nodes; one
+    # Python object per node would take well over 8 MB
+    topology = build(ChordRing(d=16))
+    tracemalloc.start()
+    try:
+        simulate(topology, PRICED, 1000, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_simulate_rejects_empty_request_stream():

@@ -5,6 +5,7 @@ along out-edges whose length equals the BFS graph distance.  Exhaustive
 checks run on small instances; hypothesis samples the rest.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -68,6 +69,14 @@ def test_self_route_is_trivial(spec):
         route = canonical_route(topology, node, node)
         assert route.hops == (node,)
         assert route.hop_count == 0 and route.intermediates == ()
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS + [Torus(d=3, n_side=2)], ids=str)
+def test_degrees_match_out_neighbors(spec):
+    topology = build(spec)
+    degrees = topology.degrees()
+    assert degrees.dtype == np.int64
+    assert np.array_equal(degrees, [len(topology.out_neighbors(i)) for i in topology.nodes()])
 
 
 # ---------------------------------------------------------------------------
