@@ -2,15 +2,18 @@
 
 Everything in this module is exact arithmetic on the model of
 ``costmodel``: integer counting is done in Python integers and only the
-final division produces a float.  The engine's exact enumeration must
-reproduce these numbers bit for bit wherever both apply; the test suite
-holds the two sides together.
+final division produces a float.  Where a float result would decide a
+yes/no question, the question is settled in rationals instead, reading
+each price as the shortest decimal that gives back the same float.  The
+engine's exact enumeration must reproduce these numbers bit for bit
+wherever both apply; the test suite holds the two sides together.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 from .costmodel import (
@@ -97,8 +100,11 @@ def star_cost_gap(params: CostParams, n: int) -> float:
     namely g(n) = m*n**2 - (a - r)*n - r.  The hub is the cheaper role
     exactly while g(n) <= 0.
     """
-    s, a, r, m = params.s, params.a, params.r, params.m
-    del s  # the service term cancels between the two roles
+    # the service price cancels between the two roles
+    return _gap(params.a, params.r, params.m, n)
+
+
+def _gap(a, r, m, n):
     return m * n**2 - (a - r) * n - r
 
 
@@ -125,7 +131,9 @@ def star_equilibrium_size(params: CostParams) -> EquilibriumSize:
         if root <= 0:
             return NoneBesidesTwo()
     nearest = round(root)
-    exact = nearest > 0 and star_cost_gap(params, nearest) == 0.0
+    # g(nearest) in floats can miss an exact zero by an ulp (a=7, r=0.05, m=7)
+    decimals = (Fraction(repr(float(price))) for price in (a, r, m))
+    exact = nearest > 0 and _gap(*decimals, nearest) == 0
     return Candidate(n0_real=root, is_integer=exact)
 
 

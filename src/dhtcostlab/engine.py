@@ -3,7 +3,8 @@
 The three ways to obtain per-node costs share one vocabulary:
 
 * ``analytic_report`` evaluates the closed forms of ``closedforms``,
-* ``enumerate_exact`` walks every ordered (source, holder) pair once,
+* ``enumerate_exact`` counts every ordered (source, holder) pair once,
+  routing one source per symmetry orbit of the topology,
 * ``simulate`` samples pairs uniformly and renormalizes the counters.
 
 All three return a ``CostReport`` so they can be cross-checked with
@@ -55,7 +56,8 @@ from .topologies import (
 )
 
 #: Enumeration refuses networks above this size unless told otherwise;
-#: the walk is quadratic in the node count.
+#: the walk routes N pairs per source orbit, so it is quadratic in the
+#: node count for a geometry that declares no symmetry.
 DEFAULT_EXACT_LIMIT = 4096
 
 #: Ordered pairs handled per enumeration block, sized to keep the
@@ -152,7 +154,7 @@ class CostReport:
 
 @dataclass
 class RouteCensus:
-    """Raw integer counters from a full walk over all N**2 pairs."""
+    """Raw integer counters over all N**2 ordered pairs."""
 
     hop_sums: np.ndarray  # per source: total hops to all destinations
     loading: np.ndarray  # per node: ordered pairs relayed
@@ -190,24 +192,50 @@ def pair_kernel(topology: Topology, src, dst, loading) -> np.ndarray:
 
 
 def route_census(topology: Topology, max_nodes: Optional[int] = None) -> RouteCensus:
-    """Walk all N**2 ordered pairs and collect the integer counters."""
+    """The integer counters of all N**2 ordered pairs, from one source per orbit.
+
+    Routes commute with the relabelings behind ``topology.orbits()``, so
+    a source's hop sum is its representative's, and the pairs that
+    sources of orbit O route through a node v number
+
+        |O| * (sum of L_r(w) over w in Q(v)) / |Q(v)|,
+
+    an exact integer, where r is O's representative (its first node),
+    L_r(w) counts the destinations r routes through w and Q(v) is v's
+    orbit.  Each node's load is the sum of that over all orbits O.
+    """
     n = topology.node_count
     limit = DEFAULT_EXACT_LIMIT if max_nodes is None else max_nodes
     if n > limit:
         raise ResourceLimitError(
             f"exact enumeration over {n}**2 pairs exceeds the limit of {limit} nodes"
         )
-    hop_sums = np.zeros(n, dtype=np.int64)
+    _, reps, orbit, sizes = np.unique(topology.orbits(), return_index=True,
+                                      return_inverse=True, return_counts=True)
+    rep_hops = np.zeros(reps.size, dtype=np.int64)
     loading = np.zeros(n, dtype=np.int64)
     everyone = np.arange(n, dtype=np.int64)
     rows_per_block = max(1, _PAIR_BLOCK // n)
-    for start in range(0, n, rows_per_block):
-        rows = np.arange(start, min(start + rows_per_block, n), dtype=np.int64)
-        src = np.repeat(rows, n)
-        dst = np.tile(everyone, rows.size)
-        hops = pair_kernel(topology, src, dst, loading)
-        hop_sums[rows] = hops.reshape(rows.size, n).sum(axis=1)
-    return RouteCensus(hop_sums=hop_sums, loading=loading, pair_count=n * n)
+    # one scratch load serves every representative of the same orbit size
+    for size in np.unique(sizes):
+        members = np.flatnonzero(sizes == size)
+        scratch = np.zeros(n, dtype=np.int64)
+        for start in range(0, members.size, rows_per_block):
+            block = members[start:start + rows_per_block]
+            src = np.repeat(reps[block], n)
+            dst = np.tile(everyone, block.size)
+            hops = pair_kernel(topology, src, dst, scratch)
+            rep_hops[block] = hops.reshape(block.size, n).sum(axis=1)
+        orbit_load = np.zeros(reps.size, dtype=np.int64)
+        np.add.at(orbit_load, orbit, scratch)
+        spread, remainder = np.divmod(size * orbit_load, sizes)
+        if remainder.any():
+            raise ArithmeticError(
+                f"orbit loads of {topology.spec!r} do not divide evenly; "
+                "its orbits() do not commute with its routes"
+            )
+        loading += spread[orbit]
+    return RouteCensus(hop_sums=rep_hops[orbit], loading=loading, pair_count=n * n)
 
 
 def _assemble_report(method, spec, params, service, access, routing,
@@ -247,7 +275,7 @@ def _aggregate(service, access, routing, maintenance) -> Aggregates:
 
 def enumerate_exact(topology: Topology, params: CostParams,
                     max_nodes: Optional[int] = None) -> CostReport:
-    """Exact expected per-node costs from a full walk of all pairs.
+    """Exact expected per-node costs over all N**2 ordered pairs.
 
     Every counter is an integer until the single final division, so two
     runs agree bit for bit and the conservation law

@@ -20,10 +20,13 @@ Each geometry is declared once, by two classes: a frozen spec dataclass
 whose ``name`` is its CLI name and whose fields are its parameters, and
 a ``Topology`` subclass holding the scalar ``route`` next to ``pairs``,
 the vectorized kernel that exact enumeration and simulation run on,
-and ``degrees``, the out-degree of every node as one array.  The scalar
+``degrees``, the out-degree of every node as one array, and
+``orbits``, which labels each node with its orbit under a group of
+node relabelings that commute with every canonical route.  The scalar
 ``route`` and ``out_neighbors`` are the readable reference; the test
-suite pins every kernel and every degree array to them.  ``GEOMETRIES``
-maps each name to its spec class.
+suite pins every kernel and every degree array to them, and the exact
+census, which walks one source per orbit, to a walk of every source.
+``GEOMETRIES`` maps each name to its spec class.
 """
 
 from __future__ import annotations
@@ -187,7 +190,7 @@ class Topology:
 
     Nodes are the integers ``0 .. node_count - 1``.  Subclasses provide
     ``out_neighbors``, ``degrees``, ``route`` and ``pairs``, and
-    ``degree`` or ``label`` where the defaults do not fit.
+    ``degree``, ``label`` or ``orbits`` where the defaults do not fit.
     """
 
     def __init__(self, spec: GeometrySpec):
@@ -207,6 +210,17 @@ class Topology:
     def degrees(self) -> np.ndarray:
         """Out-degree of every node as an int64 array; ``degree`` per node."""
         raise NotImplementedError
+
+    def orbits(self) -> np.ndarray:
+        """Orbit id ``0 .. k-1`` of every node as an int64 array.
+
+        Nodes share an orbit when some relabeling g of the node set maps
+        one to the other and every canonical route commutes with it,
+        ``route(g(s), g(t)) == [g(v) for v in route(s, t)]``.  The exact
+        census walks one source per orbit.  By default every node is its
+        own orbit, which is always correct.
+        """
+        return np.arange(self.node_count, dtype=np.int64)
 
     def route(self, source: int, destination: int) -> list[int]:
         """Canonical route as a node list, ``[source, ..., destination]``."""
@@ -249,6 +263,11 @@ class StarTopology(Topology):
         out = np.ones(self.node_count, dtype=np.int64)
         out[0] = self.node_count - 1
         return out
+
+    def orbits(self):
+        # routes commute with every permutation of the spokes, so the hub
+        # is one orbit and the spokes are the other
+        return (np.arange(self.node_count) > 0).astype(np.int64)
 
     def route(self, source, destination):
         self._check_node(source)
@@ -302,6 +321,26 @@ class DeBruijnTopology(_WordTopology):
         repunit = (self.node_count - 1) // (self.delta - 1)
         out[np.arange(self.delta) * repunit] -= 1
         return out
+
+    def orbits(self):
+        # The overlap test compares symbols only for equality, so routes
+        # commute with every permutation of the symbols.  A word's orbit
+        # is its pattern: the restricted growth string numbering each
+        # symbol by its first position of appearance.
+        delta, d = self.delta, self.d
+        words = np.arange(self.node_count, dtype=np.int64)
+        digits = [(words // delta ** (d - 1 - pos)) % delta for pos in range(d)]
+        pattern = [np.zeros_like(words)]
+        used = np.ones_like(words)  # distinct symbols among those seen
+        code = np.zeros_like(words)
+        for pos in range(1, d):
+            label = used.copy()
+            for earlier in range(pos - 1, -1, -1):
+                label = np.where(digits[earlier] == digits[pos], pattern[earlier], label)
+            used += label == used
+            pattern.append(label)
+            code = code * d + label
+        return np.unique(code, return_inverse=True)[1].astype(np.int64)
 
     def route(self, source, destination):
         self._check_node(source)
@@ -390,6 +429,11 @@ class TorusTopology(Topology):
         per_axis = 1 if self.n_side == 2 else 2
         return np.full(self.node_count, per_axis * self.d, dtype=np.int64)
 
+    def orbits(self):
+        # routes depend on coordinate differences mod n_side only, so they
+        # commute with the translations of Z_n^d, which are transitive
+        return np.zeros(self.node_count, dtype=np.int64)
+
     def route(self, source, destination):
         src = list(self.coords(source))
         dst = self.coords(destination)
@@ -463,6 +507,11 @@ class PlaxtonTopology(_WordTopology):
     def degrees(self):
         return np.full(self.node_count, self.d * (self.delta - 1), dtype=np.int64)
 
+    def orbits(self):
+        # routes commute with adding a fixed word digitwise mod delta
+        # (the translations of Z_delta^d), which are transitive
+        return np.zeros(self.node_count, dtype=np.int64)
+
     def route(self, source, destination):
         self._check_node(source)
         self._check_node(destination)
@@ -516,6 +565,11 @@ class ChordTopology(Topology):
 
     def degrees(self):
         return np.full(self.node_count, self.d, dtype=np.int64)
+
+    def orbits(self):
+        # routes depend on the gap mod 2**d only, so they commute with
+        # the rotations of the ring, which are transitive
+        return np.zeros(self.node_count, dtype=np.int64)
 
     def route(self, source, destination):
         self._check_node(source)

@@ -97,10 +97,10 @@ def _lemma_combos():
             while delta**d <= 4096:
                 combos.append((delta, d))
                 d += 1
-    # d=1 graphs are complete digraphs with nothing to relay; the full
-    # delta range up to 4096 nodes is quadratically out of reach, so the
-    # degenerate family is sampled up to delta=64
-    combos.extend((delta, 1) for delta in range(2, 65))
+    # d=1 graphs are complete digraphs with nothing to relay; every
+    # word is one symbol, so each is a single orbit and the census routes
+    # one source even at delta=4096
+    combos.extend((delta, 1) for delta in range(2, 4097))
     return combos
 
 

@@ -101,6 +101,16 @@ def test_analyze_analytic_needs_no_topology(tmp_path):
     assert not (tmp_path / "rows.json").exists()
 
 
+def test_resource_guard_at_its_limit():
+    args = ("analyze", "--geometry", "chord", "--d", "12", "--methods", "exact")
+    below = run_cli(*args, "--max-exact-n", "4095")
+    assert below.returncode == 3
+    assert "exceeds the limit of 4095 nodes" in below.stderr
+    at = run_cli(*args, "--max-exact-n", "4096")
+    assert at.returncode == 0, at.stderr
+    assert "chord(d=12)  N=4096" in at.stdout
+
+
 def test_env_guard_override():
     low = run_cli("analyze", "--geometry", "star", "--n", "50", "--methods", "exact",
                   env_extra={"DHTCOSTLAB_MAX_N": "10"})

@@ -136,6 +136,58 @@ def test_equilibrium_matches_brute_force_sign_pattern():
                         assert gaps[round(n0)] == 0
 
 
+def test_equilibrium_integer_root_is_decided_exactly():
+    # g(1) = 7 - 6.95 - 0.05 is 0 for the decimal prices but -1.8e-16 in floats
+    params = CostParams(s=0, a=7, r=0.05, m=7)
+    assert star_cost_gap(params, 1) != 0
+    assert star_equilibrium_size(params) == Candidate(n0_real=1.0, is_integer=True)
+
+
+# decimal prices with up to three places, as a CLI user would type them
+decimal_prices = st.builds(lambda k, places: Fraction(k, 10**places),
+                           st.integers(0, 2000), st.sampled_from([0, 1, 2, 3]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(decimal_prices, decimal_prices, decimal_prices)
+def test_equilibrium_class_matches_exact_arithmetic(a, r, m):
+    result = star_equilibrium_size(CostParams(s=0, a=float(a), r=float(r), m=float(m)))
+    # g(n) = m n**2 - (a - r) n - r scaled by 1000 has integer coefficients
+    big_a, big_r, big_m = (int(price * 1000) for price in (a, r, m))
+    if big_m == 0:
+        if big_a == big_r == 0:
+            assert result == AllN()
+            return
+        if big_r <= big_a:
+            assert result == NoneBesidesTwo()
+            return
+        numerator, denominator = big_r, big_r - big_a
+    else:
+        disc = (big_a - big_r) ** 2 + 4 * big_m * big_r
+        numerator, denominator = big_a - big_r + math.isqrt(disc), 2 * big_m
+        if numerator <= 0:
+            assert result == NoneBesidesTwo()
+            return
+        if math.isqrt(disc) ** 2 != disc:
+            numerator = None  # irrational root
+    assert isinstance(result, Candidate)
+    integer = numerator is not None and numerator % denominator == 0
+    assert result.is_integer == integer, (a, r, m, result)
+    if integer:
+        assert round(result.n0_real) == numerator // denominator
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(1, 1000), st.integers(0, 1000))
+def test_equilibrium_finds_constructed_integer_roots(n0, k, j):
+    # m = k/100 and r = j*n0/100 with a chosen so that g(n0) == 0 exactly
+    m, r = Fraction(k, 100), Fraction(j * n0, 100)
+    a = r + m * n0 - r / n0
+    result = star_equilibrium_size(CostParams(s=0, a=float(a), r=float(r), m=float(m)))
+    assert isinstance(result, Candidate)
+    assert result.is_integer and round(result.n0_real) == n0
+
+
 # ---------------------------------------------------------------------------
 # de Bruijn bounds
 

@@ -33,6 +33,7 @@ from dhtcostlab import (
 )
 from dhtcostlab import engine
 from dhtcostlab.engine import pair_kernel
+from dhtcostlab.topologies import Topology
 
 PRICED = CostParams(s=1.0, a=1.0, r=1000.0, m=0.5)
 
@@ -107,6 +108,59 @@ def test_census_conservation_identity():
         assert census.pair_count == n * n
 
 
+def _full_walk(topology):
+    """Census counters from routing every source row, no orbit reduction."""
+    n = topology.node_count
+    everyone = np.arange(n, dtype=np.int64)
+    hop_sums = np.zeros(n, dtype=np.int64)
+    loading = np.zeros(n, dtype=np.int64)
+    for source in range(n):
+        hop_sums[source] = pair_kernel(topology, np.full(n, source), everyone, loading).sum()
+    return hop_sums, loading
+
+
+CENSUS_SPECS = KERNEL_SPECS + [
+    Torus(d=3, n_side=2),
+    Torus(d=2, n_side=8),
+    Torus(d=3, n_side=5),
+    PlaxtonTree(delta=3, d=4),
+    ChordRing(d=8),
+    DeBruijn(delta=2, d=8),
+    DeBruijn(delta=16, d=3),
+    DeBruijn(delta=5, d=1),
+]
+
+
+@pytest.mark.parametrize("spec", CENSUS_SPECS, ids=str)
+def test_orbit_census_matches_full_walk(spec):
+    topology = build(spec)
+    census = route_census(topology)
+    hop_sums, loading = _full_walk(topology)
+    assert np.array_equal(census.hop_sums, hop_sums)
+    assert np.array_equal(census.loading, loading)
+    assert census.pair_count == topology.node_count**2
+
+
+def test_default_orbits_walk_every_source():
+    topology = build(DeBruijn(delta=3, d=3))
+    default = Topology.orbits(topology)
+    assert np.array_equal(default, np.arange(27))
+    reduced = route_census(topology)
+    topology.orbits = lambda: default
+    full = route_census(topology)
+    assert np.array_equal(full.hop_sums, reduced.hop_sums)
+    assert np.array_equal(full.loading, reduced.loading)
+
+
+def test_orbit_census_rejects_orbits_that_break_divisibility():
+    # hub and spoke 1 are not interchangeable: spoke 2's one relay through
+    # the hub cannot be split evenly over a {hub, spoke 1} orbit
+    topology = build(Star(n=3))
+    topology.orbits = lambda: np.array([0, 0, 1], dtype=np.int64)
+    with pytest.raises(ArithmeticError, match="do not divide evenly"):
+        route_census(topology)
+
+
 def test_node_loading_star():
     loading = route_census(build(Star(n=9))).loading
     assert loading[0] == 8 * 7
@@ -141,6 +195,18 @@ def test_enumeration_guard():
         enumerate_exact(build(Star(n=40)), PRICED, max_nodes=39)
     report = enumerate_exact(build(Star(n=40)), PRICED, max_nodes=40)
     assert len(report.service) == 40
+
+
+def test_enumeration_guard_at_the_default_limit():
+    assert engine.DEFAULT_EXACT_LIMIT == 4096
+    for spec in (ChordRing(d=12), Torus(d=2, n_side=64)):
+        assert spec.node_count == 4096
+        report = enumerate_exact(build(spec), PRICED)
+        assert len(report.service) == 4096
+    with pytest.raises(ResourceLimitError):
+        enumerate_exact(build(Star(n=4097)), PRICED)
+    with pytest.raises(ResourceLimitError):
+        enumerate_exact(build(ChordRing(d=12)), PRICED, max_nodes=4095)
 
 
 def test_exact_star_costs_match_closed_form():

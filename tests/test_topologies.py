@@ -79,6 +79,29 @@ def test_degrees_match_out_neighbors(spec):
     assert np.array_equal(degrees, [len(topology.out_neighbors(i)) for i in topology.nodes()])
 
 
+@pytest.mark.parametrize("spec, count", [
+    (Star(n=1), 1), (Star(n=2), 2), (Star(n=7), 2),
+    (Torus(d=1, n_side=2), 1), (Torus(d=3, n_side=3), 1),
+    (PlaxtonTree(delta=4, d=2), 1), (ChordRing(d=1), 1), (ChordRing(d=5), 1),
+    # de Bruijn: the sum of the Stirling numbers S(d, k) over k <= delta
+    (DeBruijn(delta=2, d=3), 4), (DeBruijn(delta=3, d=5), 41),
+    (DeBruijn(delta=2, d=8), 128), (DeBruijn(delta=3, d=7), 365),
+    (DeBruijn(delta=4, d=6), 187), (DeBruijn(delta=16, d=3), 5),
+], ids=str)
+def test_orbit_counts(spec, count):
+    orbits = build(spec).orbits()
+    assert orbits.dtype == np.int64
+    assert sorted(set(orbits.tolist())) == list(range(count))
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_degrees_constant_on_orbits(spec):
+    topology = build(spec)
+    orbits, degrees = topology.orbits(), topology.degrees()
+    for orbit in set(orbits.tolist()):
+        assert len(set(degrees[orbits == orbit].tolist())) == 1
+
+
 # ---------------------------------------------------------------------------
 # construction and validation
 
