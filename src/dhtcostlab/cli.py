@@ -8,10 +8,17 @@ Four subcommands:
 * ``pernode-dump``      exact per-node cost rows for one geometry
 
 Per-node CSV output always carries the header
-``node_id,service,access,routing,maintenance,total`` and writes floats
-in shortest round-trip form; rounding to two decimals happens only in
-the human-readable stdout summary.  Identical configuration (including
-seeds) produces byte-identical files.
+``node_id,service,access,routing,maintenance,total``.  CSV and JSON
+write floats as ``repr`` does, the shortest form that reads back to the
+same float; rounding to two decimals happens only in the human-readable
+stdout summary.  JSON is laid out as ``json.dump(..., indent=2)`` lays
+it out.  ``node_id`` is the spec's node label (``labels`` on the spec
+classes): the number for star, ``d`` binary digits for chord, the
+word's symbols for de Bruijn and Plaxton (dotted apart when
+``delta > 10``) and ``(x,y,...)`` coordinates for the torus, quoted in
+CSV.  Identical configuration (including seeds) produces byte-identical
+files.  Prices at which a cost overflows float64 are refused with exit
+code 2, since neither format can hold a non-finite cost.
 
 Exit codes: 0 success, 1 usage error, 2 infeasible or unsupported
 parameters, 3 resource guard exceeded.
@@ -26,7 +33,7 @@ import os
 import re
 import sys
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import closedforms, engine
 from .costmodel import (
@@ -54,9 +61,13 @@ _METHOD_TOKENS = ("analytic", "exact", "sim")
 _PER_NODE_HEADER = ("node_id", "service", "access", "routing", "maintenance", "total")
 _SWEEP_HEADER = ("geometry", "requested_n", "actual_n", "method", "mean_access", "mean_routing")
 
-#: Per-node rows are converted from the report arrays this many at a
-#: time, so a writer never holds all N rows as Python objects.
+#: Per-node rows are made from the spec and the report arrays this many
+#: at a time, so a writer never holds all N rows or labels as objects.
 _ROW_BLOCK = 4096
+
+#: A per-node CSV row; ``%r`` is the shortest round-trip float form,
+#: as ``csv`` and ``json`` write it.
+_CSV_ROW = "%s,%r,%r,%r,%r,%r\n"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -255,7 +266,7 @@ def _params_dict(params: CostParams) -> dict:
     return {"s": params.s, "a": params.a, "r": params.r, "m": params.m}
 
 
-def _report_dict(report: engine.CostReport, labels: Sequence[str]) -> dict:
+def _report_dict(report: engine.CostReport) -> dict:
     agg = report.aggregates
     aggregates = {
         name: {"mean": st.mean, "min": st.min, "max": st.max}
@@ -273,30 +284,9 @@ def _report_dict(report: engine.CostReport, labels: Sequence[str]) -> dict:
         "params": _params_dict(report.params),
         "aggregates": aggregates,
         "sim_meta": meta,
-        "per_node": _RowStream(
-            lambda: (dict(zip(_PER_NODE_HEADER, row)) for row in _per_node_rows(report, labels)),
-            len(labels),
-        ),
+        # _write_json writes the report as its per-node array
+        "per_node": report,
     }
-
-
-class _RowStream(list):
-    """A JSON array whose ``count`` items are made as the encoder asks.
-
-    ``json``'s indenting encoder takes any ``list`` subclass, tests it
-    for emptiness and iterates it once; both go through the overrides.
-    """
-
-    def __init__(self, make_rows: Callable[[], Iterator], count: int):
-        super().__init__()
-        self._make_rows = make_rows
-        self._count = count
-
-    def __len__(self):
-        return self._count
-
-    def __iter__(self):
-        return self._make_rows()
 
 
 def _bounds_dict(bounds: closedforms.DeBruijnBounds) -> dict:
@@ -308,19 +298,73 @@ def _bounds_dict(bounds: closedforms.DeBruijnBounds) -> dict:
     }
 
 
-def _write_json(path: str, payload: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _write_json(stream: TextIO, payload) -> None:
+    """Write ``payload`` and a newline as ``json.dump(..., indent=2)`` does.
+
+    A ``CostReport`` in ``payload`` stands for its per-node array.  The
+    encoder writes the document around it chunk by chunk, and the array
+    is written a row at a time from a template at the encoder's indent.
+    """
+    reports = []
+
+    def defer(report):
+        if not isinstance(report, engine.CostReport):
+            raise TypeError(f"{type(report).__name__} is not JSON serializable")
+        reports.append(report)
+        return None  # encoded as the next chunk, "null", which is not written
+
+    write = stream.write
+    # The indenting encoder yields a dict entry as four chunks: newline
+    # and indent (after a comma unless first), key, ": ", value.
+    line = key = colon = ""
+    for chunk in json.JSONEncoder(indent=2, default=defer).iterencode(payload):
+        if reports:
+            _write_json_rows(stream, reports.pop(), line[line.rfind("\n") + 1:])
+        else:
+            write(chunk)
+        line, key, colon = key, colon, chunk
+    write("\n")
 
 
-def _per_node_rows(report: engine.CostReport, labels: Sequence[str]):
-    """(label, service, access, routing, maintenance, total) per node."""
+def _write_json_rows(stream: TextIO, report: engine.CostReport, indent: str) -> None:
+    """The per-node array of ``report`` as the encoder writes it at ``indent``."""
+    item, field = indent + "  ", indent + "    "
+    formats = ("%s",) + ("%r",) * 5  # the label, already JSON, then the floats
+    body = ",".join(f'\n{field}"{name}": {fmt}' for name, fmt in zip(_PER_NODE_HEADER, formats))
+    row = f"\n{item}{{{body}\n{item}}}"
+    rows = _per_node_rows(report, json.dumps)
+    stream.write("[" + row % next(rows))  # a report has at least one node
+    stream.writelines(map(("," + row).__mod__, rows))
+    stream.write(f"\n{indent}]")
+
+
+def _write_per_node_csv(stream: TextIO, report: engine.CostReport) -> None:
+    stream.write(",".join(_PER_NODE_HEADER) + "\n")
+    stream.writelines(map(_CSV_ROW.__mod__, _per_node_rows(report, _csv_field)))
+
+
+def _csv_field(label: str) -> str:
+    # csv's QUOTE_MINIMAL quotes a field holding its delimiter; labels
+    # hold no quote character and no line break
+    return f'"{label}"' if "," in label else label
+
+
+def _per_node_rows(report: engine.CostReport, quote: Callable[[str], str]):
+    """(quote(label), service, access, routing, maintenance, total) per node.
+
+    Labels come from the report's spec, a block of nodes at a time.
+    """
+    spec = report.geometry
     columns = (report.service, report.access, report.routing, report.maintenance,
                report.total)
-    for start in range(0, len(labels), _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
-        yield from zip(labels[start:stop], *(c[start:stop].tolist() for c in columns))
+    for start in range(0, spec.node_count, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, spec.node_count)
+        yield from zip(map(quote, spec.labels(start, stop)),
+                       *(c[start:stop].tolist() for c in columns))
+
+
+def _open_out(path: str) -> TextIO:
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _write_csv(stream: TextIO, header, rows):
@@ -346,8 +390,7 @@ def _print_report_summary(report: engine.CostReport):
 
 def cmd_analyze(config: RunConfig) -> int:
     spec, params = config.geometry, config.params
-    # the closed forms need no topology; enumeration, simulation and the
-    # node labels of written per-node rows do
+    # the closed forms and the node labels need no topology
     topology = build(spec) if {"exact", "sim"} & set(config.methods) else None
     reports: list[engine.CostReport] = []
     bounds = None
@@ -362,10 +405,6 @@ def cmd_analyze(config: RunConfig) -> int:
             reports.append(engine.enumerate_exact(topology, params, max_nodes=config.max_exact_n))
         else:
             reports.append(engine.simulate_seeds(topology, params, config.requests, config.seeds))
-    labels = None
-    if config.out_path and reports:
-        topology = topology or build(spec)
-        labels = [topology.label(i) for i in topology.nodes()]
 
     print(f"{_spec_label(spec)}  N={spec.node_count}  "
           f"s={params.s:g} a={params.a:g} r={params.r:g} m={params.m:g}")
@@ -379,11 +418,12 @@ def cmd_analyze(config: RunConfig) -> int:
         if config.out_format == "json":
             payload = {
                 "config": _config_dict("analyze", config),
-                "reports": [_report_dict(r, labels) for r in reports],
+                "reports": [_report_dict(r) for r in reports],
             }
             if bounds is not None:
                 payload["analytic_bounds"] = _bounds_dict(bounds)
-            _write_json(config.out_path, payload)
+            with _open_out(config.out_path) as fh:
+                _write_json(fh, payload)
             print(f"wrote {config.out_path}")
         else:
             if not reports:
@@ -393,8 +433,8 @@ def cmd_analyze(config: RunConfig) -> int:
                 )
             targets = _csv_targets(config.out_path, reports)
             for path, report in targets:
-                with open(path, "w", encoding="utf-8", newline="") as fh:
-                    _write_csv(fh, _PER_NODE_HEADER, _per_node_rows(report, labels))
+                with _open_out(path) as fh:
+                    _write_per_node_csv(fh, report)
                 print(f"wrote {path}")
     return 0
 
@@ -428,10 +468,10 @@ def cmd_star_equilibrium(params: CostParams, out_format: str = "json",
         if isinstance(result, closedforms.Candidate):
             payload["result"]["n0_real"] = result.n0_real
             payload["result"]["is_integer"] = result.is_integer
-        if out_format == "json":
-            _write_json(out_path, payload)
-        else:
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(out_path) as fh:
+            if out_format == "json":
+                _write_json(fh, payload)
+            else:
                 _write_csv(fh, ("kind", "n0_real", "is_integer"), [(
                     kind,
                     result.n0_real if isinstance(result, closedforms.Candidate) else "",
@@ -518,7 +558,7 @@ def cmd_sweep(geometries: Sequence[str], n_range: tuple[int, int], params: CostP
           f"sizes {n_min}..{n_max}")
     if out_path:
         if out_format == "csv":
-            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+            with _open_out(out_path) as fh:
                 _write_csv(fh, _SWEEP_HEADER, rows)
         else:
             payload = {
@@ -535,35 +575,31 @@ def cmd_sweep(geometries: Sequence[str], n_range: tuple[int, int], params: CostP
                 },
                 "rows": [dict(zip(_SWEEP_HEADER, row)) for row in rows],
             }
-            _write_json(out_path, payload)
+            with _open_out(out_path) as fh:
+                _write_json(fh, payload)
         print(f"wrote {out_path}")
     elif out_format == "csv":
         _write_csv(sys.stdout, _SWEEP_HEADER, rows)
     else:
-        json.dump([dict(zip(_SWEEP_HEADER, row)) for row in rows], sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _write_json(sys.stdout, [dict(zip(_SWEEP_HEADER, row)) for row in rows])
     return 0
 
 
 def cmd_pernode_dump(config: RunConfig) -> int:
     topology = build(config.geometry)
     report = engine.enumerate_exact(topology, config.params, max_nodes=config.max_exact_n)
-    labels = [topology.label(i) for i in topology.nodes()]
-    if config.out_path:
-        if config.out_format == "csv":
-            with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
-                _write_csv(fh, _PER_NODE_HEADER, _per_node_rows(report, labels))
-        else:
-            _write_json(config.out_path, {
-                "config": _config_dict("pernode-dump", config),
-                "report": _report_dict(report, labels),
-            })
-        print(f"wrote {config.out_path}")
-    elif config.out_format == "csv":
-        _write_csv(sys.stdout, _PER_NODE_HEADER, _per_node_rows(report, labels))
+    if config.out_format == "csv":
+        write, document = _write_per_node_csv, report
     else:
-        json.dump(_report_dict(report, labels), sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        write, document = _write_json, _report_dict(report)
+        if config.out_path:
+            document = {"config": _config_dict("pernode-dump", config), "report": document}
+    if config.out_path:
+        with _open_out(config.out_path) as fh:
+            write(fh, document)
+        print(f"wrote {config.out_path}")
+    else:
+        write(sys.stdout, document)
     return 0
 
 

@@ -196,6 +196,11 @@ def debruijn_bounds(params: CostParams, delta: int, d: int) -> DeBruijnBounds:
     a_min = params.a * min_numerator / (n * (delta - 1) ** 2)
     l_max = debruijn_l_max(delta, d)
     r_max = params.r * l_max / n**2
+    for name, value in (("a_min", a_min), ("a_max", a_max), ("r_max", r_max)):
+        if not math.isfinite(value):
+            raise InvalidParameterError(
+                f"debruijn bound {name} overflows float64 at these prices"
+            )
     return DeBruijnBounds(a_min=a_min, a_max=a_max, r_max=r_max, l_max=l_max)
 
 

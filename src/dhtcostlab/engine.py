@@ -32,6 +32,7 @@ the model wants the N-fold multiple.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from itertools import combinations
 from typing import Optional, Sequence
@@ -240,6 +241,20 @@ def route_census(topology: Topology, max_nodes: Optional[int] = None) -> RouteCe
 
 def _assemble_report(method, spec, params, service, access, routing,
                      maintenance, sim_meta=None) -> CostReport:
+    """The report of four cost columns; refuses costs that overflow.
+
+    Prices near the float64 limit make costs overflow to inf, which the
+    output files cannot hold.  A column with a non-finite value has a
+    non-finite mean, and so has one whose sum overflows.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        aggregates = _aggregate(service, access, routing, maintenance)
+    for name in COMPONENTS:
+        if not math.isfinite(getattr(aggregates, name).mean):
+            raise InvalidParameterError(
+                f"{name} costs of {spec!r} overflow float64 at prices "
+                f"s={params.s!r} a={params.a!r} r={params.r!r} m={params.m!r}"
+            )
     return CostReport(
         method=method,
         geometry=spec,
@@ -248,7 +263,7 @@ def _assemble_report(method, spec, params, service, access, routing,
         access=access,
         routing=routing,
         maintenance=maintenance,
-        aggregates=_aggregate(service, access, routing, maintenance),
+        aggregates=aggregates,
         sim_meta=sim_meta,
     )
 
@@ -286,10 +301,11 @@ def enumerate_exact(topology: Topology, params: CostParams,
     """
     census = route_census(topology, max_nodes=max_nodes)
     n = topology.node_count
-    service = np.full(n, params.s / n)
-    access = params.a * census.hop_sums / n
-    routing = params.r * census.loading / n**2
-    maintenance = params.m * topology.degrees()
+    with np.errstate(over="ignore"):  # _assemble_report refuses the infs
+        service = np.full(n, params.s / n)
+        access = params.a * census.hop_sums / n
+        routing = params.r * census.loading / n**2
+        maintenance = params.m * topology.degrees()
     return _assemble_report("exact", topology.spec, params, service, access, routing,
                             maintenance)
 
@@ -364,10 +380,11 @@ def simulate(topology: Topology, params: CostParams, requests: int,
     holder_counts = np.bincount(dst, minlength=n)
     issued_hops = np.zeros(n, dtype=np.int64)
     np.add.at(issued_hops, src, hops)
-    service = params.s * holder_counts / requests
-    access = params.a * n * issued_hops / requests
-    routing = params.r * relay_hits / requests
-    maintenance = params.m * topology.degrees()
+    with np.errstate(over="ignore"):  # _assemble_report refuses the infs
+        service = params.s * holder_counts / requests
+        access = params.a * n * issued_hops / requests
+        routing = params.r * relay_hits / requests
+        maintenance = params.m * topology.degrees()
     meta = SimMeta(seeds=(seed,), requests=requests)
     return _assemble_report("simulated", topology.spec, params, service, access,
                             routing, maintenance, sim_meta=meta)
@@ -385,8 +402,9 @@ def simulate_seeds(topology: Topology, params: CostParams, requests: int,
     acc = {name: np.zeros(n) for name in _ARRAYS}
     for seed in seeds:
         run = simulate(topology, params, requests, seed)
-        for name in acc:
-            acc[name] += run.component(name)
+        with np.errstate(over="ignore"):  # _assemble_report refuses the infs
+            for name in acc:
+                acc[name] += run.component(name)
     for name in acc:
         acc[name] /= len(seeds)
     meta = SimMeta(seeds=seeds, requests=requests)

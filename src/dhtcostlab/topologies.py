@@ -17,8 +17,9 @@ documented on the concrete classes.  All cost accounting upstream is
 defined over these canonical routes.
 
 Each geometry is declared once, by two classes: a frozen spec dataclass
-whose ``name`` is its CLI name and whose fields are its parameters, and
-a ``Topology`` subclass holding the scalar ``route`` next to ``pairs``,
+whose ``name`` is its CLI name, whose fields are its parameters and
+whose ``labels`` formats the labels of a range of nodes, and a
+``Topology`` subclass holding the scalar ``route`` next to ``pairs``,
 the vectorized kernel that exact enumeration and simulation run on,
 ``degrees``, the out-degree of every node as one array, and
 ``orbits``, which labels each node with its orbit under a group of
@@ -63,6 +64,10 @@ class Star:
     def node_count(self) -> int:
         return self.n
 
+    def labels(self, start: int, stop: int) -> list[str]:
+        """Labels of nodes ``start .. stop-1``: the node number."""
+        return list(map(str, range(start, stop)))
+
 
 @dataclass(frozen=True)
 class DeBruijn:
@@ -81,6 +86,10 @@ class DeBruijn:
     @property
     def node_count(self) -> int:
         return self.delta**self.d
+
+    def labels(self, start: int, stop: int) -> list[str]:
+        """Labels of nodes ``start .. stop-1``: the word's symbols."""
+        return _digit_labels(start, stop, self.delta, self.d, _word_separator(self.delta))
 
 
 @dataclass(frozen=True)
@@ -101,6 +110,10 @@ class Torus:
     def node_count(self) -> int:
         return self.n_side**self.d
 
+    def labels(self, start: int, stop: int) -> list[str]:
+        """Labels of nodes ``start .. stop-1``: the coordinates, ``(x,y,...)``."""
+        return _digit_labels(start, stop, self.n_side, self.d, ",", "(", ")")
+
 
 @dataclass(frozen=True)
 class PlaxtonTree:
@@ -120,6 +133,10 @@ class PlaxtonTree:
     def node_count(self) -> int:
         return self.delta**self.d
 
+    def labels(self, start: int, stop: int) -> list[str]:
+        """Labels of nodes ``start .. stop-1``: the word's symbols."""
+        return _digit_labels(start, stop, self.delta, self.d, _word_separator(self.delta))
+
 
 @dataclass(frozen=True)
 class ChordRing:
@@ -135,6 +152,11 @@ class ChordRing:
     @property
     def node_count(self) -> int:
         return 2**self.d
+
+    def labels(self, start: int, stop: int) -> list[str]:
+        """Labels of nodes ``start .. stop-1``: ``d`` binary digits."""
+        width = f"0{self.d}b"
+        return [format(node, width) for node in range(start, stop)]
 
 
 GeometrySpec = Union[Star, DeBruijn, Torus, PlaxtonTree, ChordRing]
@@ -181,6 +203,30 @@ def _from_digits(digits, base: int) -> int:
     return value
 
 
+def _word_separator(delta: int) -> str:
+    # symbols above 9 take two characters, so they are dotted apart
+    return "" if delta <= 10 else "."
+
+
+def _digit_labels(start: int, stop: int, base: int, width: int, sep: str,
+                  head: str = "", tail: str = "") -> list[str]:
+    """``head + sep.join(digits) + tail`` for each node ``start .. stop-1``.
+
+    Nodes are written as ``width`` base-``base`` digits, most significant
+    first.  Nodes that share all but the last digit share one prefix
+    string, so a run of nodes costs one concatenation each.
+    """
+    labels = []
+    high, low = divmod(start, base)
+    while start < stop:
+        count = min(base - low, stop - start)
+        prefix = head + "".join([f"{dig}{sep}" for dig in _digits(high, base, width - 1)])
+        labels += [f"{prefix}{dig}{tail}" for dig in range(low, low + count)]
+        start += count
+        high, low = high + 1, 0
+    return labels
+
+
 # ---------------------------------------------------------------------------
 # topologies
 
@@ -190,7 +236,7 @@ class Topology:
 
     Nodes are the integers ``0 .. node_count - 1``.  Subclasses provide
     ``out_neighbors``, ``degrees``, ``route`` and ``pairs``, and
-    ``degree``, ``label`` or ``orbits`` where the defaults do not fit.
+    ``degree`` or ``orbits`` where the defaults do not fit.
     """
 
     def __init__(self, spec: GeometrySpec):
@@ -236,8 +282,9 @@ class Topology:
         raise NotImplementedError
 
     def label(self, node: int) -> str:
+        """Label of ``node`` as the spec's ``labels`` writes it."""
         self._check_node(node)
-        return str(node)
+        return self.spec.labels(node, node + 1)[0]
 
     def _check_node(self, node: int):
         if not 0 <= node < self.node_count:
@@ -293,12 +340,6 @@ class _WordTopology(Topology):
         super().__init__(spec)
         self.delta = spec.delta
         self.d = spec.d
-
-    def label(self, node):
-        self._check_node(node)
-        digits = _digits(node, self.delta, self.d)
-        sep = "" if self.delta <= 10 else "."
-        return sep.join(str(dig) for dig in digits)
 
 
 class DeBruijnTopology(_WordTopology):
@@ -481,9 +522,6 @@ class TorusTopology(Topology):
                 loading += np.bincount(cur[inter], minlength=total)
         return hops
 
-    def label(self, node):
-        return "(" + ",".join(str(c) for c in self.coords(node)) + ")"
-
 
 class PlaxtonTopology(_WordTopology):
     """Digit-correcting routing, most significant digit first.
@@ -599,10 +637,6 @@ class ChordTopology(Topology):
             loading += np.bincount(cur[inter], minlength=total)
         return hops
 
-    def label(self, node):
-        self._check_node(node)
-        return format(node, f"0{self.d}b")
-
 
 _TOPOLOGY_CLASSES = {
     Star: StarTopology,
@@ -664,7 +698,9 @@ def degree(topology: Topology, node: int) -> int:
 
 def node_label(spec: GeometrySpec, node: int) -> str:
     """Human-readable label of ``node`` without building the topology."""
-    return build(spec, max_nodes=spec.node_count).label(node)
+    if not 0 <= node < spec.node_count:
+        raise InvalidParameterError(f"node {node} outside 0..{spec.node_count - 1}")
+    return spec.labels(node, node + 1)[0]
 
 
 def is_repeated_symbol_node(spec: DeBruijn, node: int) -> bool:

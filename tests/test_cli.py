@@ -5,24 +5,31 @@ Covers the exit-code contract (0 success, 1 usage, 2 infeasible,
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dhtcostlab import (
     GEOMETRIES,
     ChordRing,
+    CostParams,
     DeBruijn,
     PlaxtonTree,
     Star,
     Torus,
+    node_label,
 )
-from dhtcostlab.cli import _feasible_sizes, build_parser
+from dhtcostlab import cli, engine, topologies
+from dhtcostlab.cli import ENV_GUARD, _feasible_sizes, build_parser, main
 
 CLI = [sys.executable, "-m", "dhtcostlab.cli"]
 
@@ -94,11 +101,48 @@ def test_analyze_analytic_needs_no_topology(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "chord(d=20)  N=1048576" in proc.stdout
     assert "method analytic" in proc.stdout
-    # written per-node rows carry node labels, which need the topology
-    proc = run_cli(*args, "--out", str(tmp_path / "rows.json"))
-    assert proc.returncode == 3
-    assert "build limit" in proc.stderr
-    assert not (tmp_path / "rows.json").exists()
+    # node labels come from the spec, so written rows need no build either
+    out = tmp_path / "rows.csv"
+    proc = run_cli(*args, "--out", str(out), "--format", "csv")
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as fh:
+        assert next(fh) == "node_id,service,access,routing,maintenance,total\n"
+        assert next(fh).startswith("0" * 20 + ",")
+        assert 2 + sum(1 for _ in fh) == 1 + 2**20
+    out.unlink()  # 40 MB
+
+
+@pytest.mark.parametrize("flags", [
+    ("--geometry", "star", "--n", "6"),
+    ("--geometry", "torus", "--d", "2", "--n-side", "3"),
+    ("--geometry", "plaxton", "--delta", "3", "--d", "2"),
+    ("--geometry", "chord", "--d", "3"),
+], ids=["star", "torus", "plaxton", "chord"])
+def test_analytic_out_builds_no_topology(tmp_path, monkeypatch, flags):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build called")
+
+    monkeypatch.setattr(cli, "build", no_build)
+    monkeypatch.setattr(topologies, "build", no_build)
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"rows.{fmt}"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["analyze", *flags, "--format", fmt, "--out", str(out)]) == 0
+        assert out.stat().st_size > 0
+
+
+def test_overflowing_prices_exit_two(tmp_path):
+    out = tmp_path / "f.json"
+    proc = run_cli("analyze", "--geometry", "chord", "--d", "3", "--r", "1e308",
+                   "--methods", "analytic,exact", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: routing costs of ChordRing(d=3) overflow float64")
+    assert "Warning" not in proc.stderr
+    proc = run_cli("analyze", "--geometry", "debruijn", "--delta", "2", "--d", "3",
+                   "--r", "1e308", "--out", str(out))
+    assert proc.returncode == 2
+    assert "r_max overflows float64" in proc.stderr
+    assert not out.exists()
 
 
 def test_resource_guard_at_its_limit():
@@ -109,6 +153,15 @@ def test_resource_guard_at_its_limit():
     at = run_cli(*args, "--max-exact-n", "4096")
     assert at.returncode == 0, at.stderr
     assert "chord(d=12)  N=4096" in at.stdout
+
+
+def test_env_guard_at_its_limit():
+    args = ("analyze", "--geometry", "star", "--n", "50", "--methods", "exact")
+    at = run_cli(*args, env_extra={"DHTCOSTLAB_MAX_N": "50"})
+    assert at.returncode == 0, at.stderr
+    below = run_cli(*args, env_extra={"DHTCOSTLAB_MAX_N": "49"})
+    assert below.returncode == 3
+    assert "exceeds the limit of 49 nodes" in below.stderr
 
 
 def test_env_guard_override():
@@ -428,3 +481,154 @@ def test_outputs_match_parent_digests(tmp_path):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert digests == PARENT_DIGESTS
+
+
+#: Commands whose output files (or, for ``.out`` names, stdout) cover
+#: every per-node writer: analyze JSON and CSV per geometry with a closed
+#: form, pernode-dump to a file and to stdout, and the sweep JSON.
+WRITER_COMMANDS = {
+    "star.json": ["analyze", "--geometry", "star", "--n", "7", "--s", "1", "--m", "0.5",
+                  "--methods", "analytic,exact,sim", "--seeds", "1,2", "--requests", "500",
+                  "--format", "json"],
+    # three methods split into star.{analytic,exact,simulated}.csv
+    "star.csv": ["analyze", "--geometry", "star", "--n", "7", "--s", "1", "--m", "0.5",
+                 "--methods", "analytic,exact,sim", "--seeds", "1,2", "--requests", "500",
+                 "--format", "csv"],
+    # 8192 rows: two full row blocks
+    "chord.json": ["analyze", "--geometry", "chord", "--d", "13", "--a", "0.3",
+                   "--format", "json"],
+    "chord.csv": ["analyze", "--geometry", "chord", "--d", "13", "--a", "0.3",
+                  "--format", "csv"],
+    "torus.json": ["analyze", "--geometry", "torus", "--d", "2", "--n-side", "5",
+                   "--methods", "analytic,exact", "--format", "json"],
+    "torus.csv": ["analyze", "--geometry", "torus", "--d", "2", "--n-side", "5",
+                  "--methods", "analytic,exact", "--format", "csv"],
+    "plaxton.json": ["analyze", "--geometry", "plaxton", "--delta", "11", "--d", "2",
+                     "--m", "0.1", "--methods", "analytic,exact", "--format", "json"],
+    "plaxton.csv": ["analyze", "--geometry", "plaxton", "--delta", "11", "--d", "2",
+                    "--m", "0.1", "--methods", "exact", "--format", "csv"],
+    "dump-debruijn.json": ["pernode-dump", "--geometry", "debruijn", "--delta", "12",
+                           "--d", "2", "--format", "json"],
+    "dump-debruijn.csv": ["pernode-dump", "--geometry", "debruijn", "--delta", "12",
+                          "--d", "2", "--format", "csv"],
+    "dump-debruijn-json.out": ["pernode-dump", "--geometry", "debruijn", "--delta", "12",
+                               "--d", "2", "--format", "json"],
+    "dump-debruijn-csv.out": ["pernode-dump", "--geometry", "debruijn", "--delta", "12",
+                              "--d", "2", "--format", "csv"],
+    "dump-star.json": ["pernode-dump", "--geometry", "star", "--n", "9", "--format", "json"],
+    "dump-star.csv": ["pernode-dump", "--geometry", "star", "--n", "9", "--format", "csv"],
+    "dump-star-json.out": ["pernode-dump", "--geometry", "star", "--n", "9",
+                           "--format", "json"],
+    "dump-star-csv.out": ["pernode-dump", "--geometry", "star", "--n", "9", "--format", "csv"],
+    "dump-chord.json": ["pernode-dump", "--geometry", "chord", "--d", "6", "--format", "json"],
+    "dump-chord.csv": ["pernode-dump", "--geometry", "chord", "--d", "6", "--format", "csv"],
+    "dump-chord-json.out": ["pernode-dump", "--geometry", "chord", "--d", "6",
+                            "--format", "json"],
+    "dump-chord-csv.out": ["pernode-dump", "--geometry", "chord", "--d", "6",
+                           "--format", "csv"],
+    "sweep.json": ["sweep", "--geometries", "star,chord,torus2,plaxton", "--n-min", "4",
+                   "--n-max", "40", "--methods", "analytic,exact", "--format", "json"],
+    "sweep-json.out": ["sweep", "--geometries", "star,chord,torus2,plaxton", "--n-min", "4",
+                       "--n-max", "40", "--methods", "analytic,exact", "--format", "json"],
+}
+
+#: SHA-256 of the outputs of ``WRITER_COMMANDS``, recorded before the
+#: per-node writers were rebuilt on fixed row templates.
+WRITER_DIGESTS = {
+    "chord.csv": "d3bd055dfc8d70fd85afde2e80a22d367da0fb279aa3b8285eb0d5582f6708e2",
+    "chord.json": "736f52602ce66cdebe1d53e3d5a049916250ce6d9b19265f5fe5d02d70b5b20c",
+    "dump-chord-csv.out": "379faa4f8c19fb916ff5c0f6d807617d958f8202534b67e5572ca6361a37be92",
+    "dump-chord-json.out": "28289eea2bff884ba45d04a7b85d5bb74cfa656b7a9d0b983aa7211109367545",
+    "dump-chord.csv": "379faa4f8c19fb916ff5c0f6d807617d958f8202534b67e5572ca6361a37be92",
+    "dump-chord.json": "662fa6dbca384c6502087832827cdde3f1f2ef4926266d3a5e587a3bb6e8e905",
+    "dump-debruijn-csv.out": "acfb28efb4c26c1acf90d317a51e8e55b3cd437e672e4fe7d86a3b5eda8b1773",
+    "dump-debruijn-json.out": "27016c4e00ae3fe4af99dcf9daeea748d70a0d13bac1e470ba09d4a5907a38d6",
+    "dump-debruijn.csv": "acfb28efb4c26c1acf90d317a51e8e55b3cd437e672e4fe7d86a3b5eda8b1773",
+    "dump-debruijn.json": "a24d759bde9e8c6df31314e88adaccc8d6068fe25ed78aa3d1f086d259e6af26",
+    "dump-star-csv.out": "60e348e75a2ec1db6785abb5267c979f07ba92c7d1d1c2a2a16dc76517b96d2b",
+    "dump-star-json.out": "12ff2ee1eb160b3202302a2cfed4f5b90ee39165e0516b32ee9e2ce69a2d1462",
+    "dump-star.csv": "60e348e75a2ec1db6785abb5267c979f07ba92c7d1d1c2a2a16dc76517b96d2b",
+    "dump-star.json": "8a73236bf4191dfd0c62f301a2946197b01e6c6fabf9d4788870f137b50160a5",
+    "plaxton.csv": "d50bd3a99159b226fce69adb461ded6549ecd1c0f5043d277a112803109cc3ed",
+    "plaxton.json": "c59fc4d38aa814ed1e28a976424c1e84983843b65ce6c6d455bda3aa983add45",
+    "star.analytic.csv": "6cff5f16630d2278510bc38f2338e833b4758e54cf443a0f8a1b3670314adcff",
+    "star.exact.csv": "6cff5f16630d2278510bc38f2338e833b4758e54cf443a0f8a1b3670314adcff",
+    "star.json": "f50ecfbcad2704e251636ae46eda4be8614732b5b716ba664d27be09c74bc3c4",
+    "star.simulated.csv": "bd61724395137fba275123a75237460aef36591b4ed9142ecdcf9ca329874145",
+    "sweep-json.out": "ab3f0d75f629084e525cd06b45d39ac36ad77509a97eec18edb1325efa47595e",
+    "sweep.json": "af1b5050e424a56a66ac215c95d01852f4ee422092d084aae49b8ed85af93d70",
+    "torus.analytic.csv": "a27f5510352b7a4a788ed3abf157cc7a37c0dadd9d8144ecaec634bdd125bd8e",
+    "torus.exact.csv": "16e9cbea31df381a4ff24206ea9c9bd78bd2151416e055682a96f8add9f9f35e",
+    "torus.json": "41434fba88b456cedda5dcdb72130f1aba6bcdb4fc3ce30d818b1e6f1d7ecfbe",
+}
+
+
+def writer_digests(directory):
+    """Run ``WRITER_COMMANDS`` in-process; SHA-256 of each output by name."""
+    for name, argv in WRITER_COMMANDS.items():
+        path = directory / name
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(argv if name.endswith(".out") else [*argv, "--out", str(path)])
+        assert code == 0, name
+        if name.endswith(".out"):
+            path.write_bytes(stdout.getvalue().encode("utf-8"))
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(directory.iterdir())}
+
+
+def test_writers_match_recorded_digests(tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_GUARD, raising=False)
+    assert writer_digests(tmp_path) == WRITER_DIGESTS
+
+
+# ---------------------------------------------------------------------------
+# writers against the standard encoders
+
+
+#: Every label shape (plain, binary, dotted and quoted words, coordinates)
+#: and the row-block edges: 1 node, one block, one block and a row.
+WRITER_SPECS = [
+    Star(n=1), Star(n=4096), Star(n=4097), ChordRing(d=12), DeBruijn(delta=12, d=2),
+    PlaxtonTree(delta=3, d=2), Torus(d=2, n_side=64), Torus(d=1, n_side=4097),
+    Torus(d=3, n_side=2),
+]
+ODD_FLOATS = [-0.0, 5e-324, 1e16, 1e22, 0.1 + 0.2]
+
+
+def per_node_reference(report):
+    """The per-node rows as ``json`` and ``csv`` are handed them."""
+    spec = report.geometry
+    columns = [report.component(name).tolist() for name in engine.COMPONENTS]
+    return [(node_label(spec, i), *values)
+            for i, values in zip(range(spec.node_count), zip(*columns))]
+
+
+@settings(max_examples=10, deadline=None)
+@given(spec=st.sampled_from(WRITER_SPECS),
+       drawn=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=6))
+def test_writers_match_the_standard_encoders(spec, drawn):
+    values = np.array(ODD_FLOATS + drawn)
+    n = spec.node_count
+    columns = [np.resize(np.roll(values, k), n) for k in range(4)]
+    report = engine._assemble_report("exact", spec, CostParams(1, 2, 3, 4), *columns)
+    rows = [dict(zip(cli._PER_NODE_HEADER, row)) for row in per_node_reference(report)]
+    entry = cli._report_dict(report)
+    reference = {**entry, "per_node": rows}
+    for payload, expected in [
+        (entry, reference),
+        ({"config": {"n": n}, "report": entry}, {"config": {"n": n}, "report": reference}),
+        ({"reports": [entry, entry], "tail": None}, {"reports": [reference, reference],
+                                                     "tail": None}),
+    ]:
+        written = io.StringIO()
+        cli._write_json(written, payload)
+        assert written.getvalue() == json.dumps(expected, indent=2) + "\n"
+
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(cli._PER_NODE_HEADER)
+    writer.writerows(per_node_reference(report))
+    written = io.StringIO()
+    cli._write_per_node_csv(written, report)
+    assert written.getvalue() == expected.getvalue()

@@ -312,6 +312,40 @@ def test_labels():
     assert node_label(DeBruijn(delta=12, d=2), 23) == "1.11"
     assert node_label(Torus(d=2, n_side=4), 7) == "(1,3)"
     assert node_label(ChordRing(d=4), 5) == "0101"
+    with pytest.raises(InvalidParameterError):
+        node_label(ChordRing(d=4), 16)
+
+
+def reference_label(spec, node):
+    """A node's label spelled out digit by digit."""
+    if isinstance(spec, Star):
+        return str(node)
+    if isinstance(spec, ChordRing):
+        base = 2
+    else:
+        base = spec.n_side if isinstance(spec, Torus) else spec.delta
+    digits = []
+    for _ in range(spec.d):
+        node, digit = divmod(node, base)
+        digits.insert(0, str(digit))
+    if isinstance(spec, Torus):
+        return "(" + ",".join(digits) + ")"
+    return ("." if base > 10 else "").join(digits)
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS + [
+    DeBruijn(delta=12, d=2), PlaxtonTree(delta=11, d=3), Torus(d=1, n_side=13),
+    Torus(d=2, n_side=11), ChordRing(d=8),
+], ids=str)
+def test_label_ranges_match_the_per_node_reference(spec):
+    n = spec.node_count
+    expected = [reference_label(spec, node) for node in range(n)]
+    assert spec.labels(0, n) == expected
+    topology = build(spec)
+    assert [topology.label(node) for node in range(n)] == expected
+    for start in range(n + 1):
+        for stop in range(start, min(n, start + 25) + 1):
+            assert spec.labels(start, stop) == expected[start:stop]
 
 
 # ---------------------------------------------------------------------------
