@@ -13,7 +13,7 @@ def main() -> None:
     topology = build(ChordRing(d=4))
     report = enumerate_exact(topology, params)
 
-    print(f"geometry: {topology.spec}, {topology.node_count} nodes")
+    print(f"geometry: {topology}, {topology.node_count} nodes")
     print(f"prices: s={params.s} a={params.a} r={params.r} m={params.m}")
     print()
     print(f"{'node':>4} {'service':>8} {'access':>8} {'routing':>8} "

@@ -16,7 +16,6 @@ from dhtcostlab import (
     Torus,
     build,
     canonical_route,
-    node_label,
 )
 
 TOUR = [
@@ -32,7 +31,7 @@ def main() -> None:
     for spec, source, destination in TOUR:
         topology = build(spec)
         route = canonical_route(topology, source, destination)
-        hops = " -> ".join(node_label(spec, node) for node in route.hops)
+        hops = " -> ".join(spec.label(node) for node in route.hops)
         print(f"{spec}")
         print(f"  {route.hop_count} hops: {hops}")
         print(f"  out-degree of source: {topology.degree(source)}")

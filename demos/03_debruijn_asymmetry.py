@@ -18,7 +18,6 @@ from dhtcostlab import (
     debruijn_l_max,
     enumerate_exact,
     is_repeated_symbol_node,
-    node_label,
 )
 
 GRAPHS = [(2, 9), (3, 6), (4, 4), (5, 4), (6, 3)]
@@ -45,7 +44,7 @@ def main() -> None:
     print()
     print(f"({delta},{d}): routing cost is zero exactly on the "
           f"{len(silent)} repeated-symbol words "
-          f"{[node_label(spec, n) for n in silent]}")
+          f"{[spec.label(n) for n in silent]}")
     assert set(np.flatnonzero(routing == 0)) == set(silent)
 
     bounds = debruijn_bounds(params, delta, d)

@@ -12,7 +12,7 @@ Per-node CSV output always carries the header
 write floats as ``repr`` does, the shortest form that reads back to the
 same float; rounding to two decimals happens only in the human-readable
 stdout summary.  JSON is laid out as ``json.dump(..., indent=2)`` lays
-it out.  ``node_id`` is the spec's node label (``labels`` on the spec
+it out.  ``node_id`` is the spec's node label (``labels`` on the geometry
 classes): the number for star, ``d`` binary digits for chord, the
 word's symbols for de Bruijn and Plaxton (dotted apart when
 ``delta > 10``) and ``(x,y,...)`` coordinates for the torus, quoted in
@@ -46,9 +46,9 @@ from .topologies import (
     GEOMETRIES,
     ChordRing,
     DeBruijn,
-    GeometrySpec,
     PlaxtonTree,
     Star,
+    Topology,
     Torus,
     build,
 )
@@ -83,7 +83,7 @@ class _Parser(argparse.ArgumentParser):
 class RunConfig:
     """One resolved invocation: what to evaluate, how, and where to."""
 
-    geometry: GeometrySpec
+    geometry: Topology
     params: CostParams
     methods: tuple[str, ...]
     seeds: Optional[tuple[int, ...]]
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _geometry_from_args(parser, args) -> GeometrySpec:
+def _geometry_from_args(parser, args) -> Topology:
     spec_class = GEOMETRIES[args.geometry]
     values = {}
     for field in fields(spec_class):
@@ -251,11 +251,11 @@ def _params_from_args(args) -> CostParams:
 # serialization helpers
 
 
-def _spec_dict(spec: GeometrySpec) -> dict:
+def _spec_dict(spec: Topology) -> dict:
     return {"geometry": spec.name, **asdict(spec)}
 
 
-def _spec_label(spec: GeometrySpec) -> str:
+def _spec_label(spec: Topology) -> str:
     info = _spec_dict(spec)
     kind = info.pop("geometry")
     inner = ",".join(f"{k}={v}" for k, v in info.items())
@@ -390,8 +390,8 @@ def _print_report_summary(report: engine.CostReport):
 
 def cmd_analyze(config: RunConfig) -> int:
     spec, params = config.geometry, config.params
-    # the closed forms and the node labels need no topology
-    topology = build(spec) if {"exact", "sim"} & set(config.methods) else None
+    if {"exact", "sim"} & set(config.methods):
+        build(spec)  # the build limit guards exact and sim, not closed forms
     reports: list[engine.CostReport] = []
     bounds = None
     for method in config.methods:
@@ -402,9 +402,9 @@ def cmd_analyze(config: RunConfig) -> int:
             else:
                 reports.append(engine.analytic_report(spec, params))
         elif method == "exact":
-            reports.append(engine.enumerate_exact(topology, params, max_nodes=config.max_exact_n))
+            reports.append(engine.enumerate_exact(spec, params, max_nodes=config.max_exact_n))
         else:
-            reports.append(engine.simulate_seeds(topology, params, config.requests, config.seeds))
+            reports.append(engine.simulate_seeds(spec, params, config.requests, config.seeds))
 
     print(f"{_spec_label(spec)}  N={spec.node_count}  "
           f"s={params.s:g} a={params.a:g} r={params.r:g} m={params.m:g}")

@@ -130,6 +130,11 @@ def star_equilibrium_size(params: CostParams) -> EquilibriumSize:
         root = half + math.sqrt(half * half + r / m)
         if root <= 0:
             return NoneBesidesTwo()
+    if not math.isfinite(root):
+        raise InvalidParameterError(
+            f"computing the star break-even size overflows float64 at prices "
+            f"a={a!r} r={r!r} m={m!r}"
+        )
     nearest = round(root)
     # g(nearest) in floats can miss an exact zero by an ulp (a=7, r=0.05, m=7)
     decimals = (Fraction(repr(float(price))) for price in (a, r, m))

@@ -12,7 +12,7 @@ All three return a ``CostReport`` so they can be cross-checked with
 ``service``, ``access``, ``routing`` and ``maintenance``, indexed by
 node, and a ``total`` computed from them on demand.  Enumeration and
 simulation run on the same vectorized pair kernel, the ``pairs`` method
-of each topology class; the readable scalar ``route`` beside it stays
+of each geometry class; the readable scalar ``route`` beside it stays
 the reference implementation and the test suite pins the kernels to it.
 Maintenance prices ``degrees()``, the topology's vectorized out-degree
 array, which the test suite pins to ``out_neighbors``.
@@ -49,7 +49,6 @@ from .costmodel import (
 )
 from .topologies import (
     ChordRing,
-    GeometrySpec,
     PlaxtonTree,
     Star,
     Topology,
@@ -119,7 +118,7 @@ class CostReport:
     """
 
     method: str  # "analytic" | "exact" | "simulated"
-    geometry: GeometrySpec
+    geometry: Topology
     params: CostParams
     service: np.ndarray
     access: np.ndarray
@@ -176,7 +175,7 @@ class DeviationRow:
 
 @dataclass(frozen=True)
 class ComparisonTable:
-    geometry: GeometrySpec
+    geometry: Topology
     rows: tuple[DeviationRow, ...]
 
     def all_within(self) -> bool:
@@ -232,7 +231,7 @@ def route_census(topology: Topology, max_nodes: Optional[int] = None) -> RouteCe
         spread, remainder = np.divmod(size * orbit_load, sizes)
         if remainder.any():
             raise ArithmeticError(
-                f"orbit loads of {topology.spec!r} do not divide evenly; "
+                f"orbit loads of {topology!r} do not divide evenly; "
                 "its orbits() do not commute with its routes"
             )
         loading += spread[orbit]
@@ -306,7 +305,7 @@ def enumerate_exact(topology: Topology, params: CostParams,
         access = params.a * census.hop_sums / n
         routing = params.r * census.loading / n**2
         maintenance = params.m * topology.degrees()
-    return _assemble_report("exact", topology.spec, params, service, access, routing,
+    return _assemble_report("exact", topology, params, service, access, routing,
                             maintenance)
 
 
@@ -314,7 +313,7 @@ def enumerate_exact(topology: Topology, params: CostParams,
 # closed forms as a report
 
 
-#: Closed forms by spec class, called with the spec's fields.  The star
+#: Closed forms by geometry class, called with the spec's fields.  The star
 #: yields the hub's and a spoke's breakdown; torus, plaxton and chord
 #: are node-transitive and yield the one breakdown every node shares.
 #: De Bruijn graphs have bounds only (``closedforms.debruijn_bounds``).
@@ -326,7 +325,7 @@ _CLOSED_FORMS = {
 }
 
 
-def analytic_report(spec: GeometrySpec, params: CostParams) -> CostReport:
+def analytic_report(spec: Topology, params: CostParams) -> CostReport:
     """Closed-form per-node costs where a geometry has them.
 
     Star networks get the two-role breakdown; torus, plaxton and chord
@@ -386,7 +385,7 @@ def simulate(topology: Topology, params: CostParams, requests: int,
         routing = params.r * relay_hits / requests
         maintenance = params.m * topology.degrees()
     meta = SimMeta(seeds=(seed,), requests=requests)
-    return _assemble_report("simulated", topology.spec, params, service, access,
+    return _assemble_report("simulated", topology, params, service, access,
                             routing, maintenance, sim_meta=meta)
 
 
@@ -408,7 +407,7 @@ def simulate_seeds(topology: Topology, params: CostParams, requests: int,
     for name in acc:
         acc[name] /= len(seeds)
     meta = SimMeta(seeds=seeds, requests=requests)
-    return _assemble_report("simulated", topology.spec, params, sim_meta=meta, **acc)
+    return _assemble_report("simulated", topology, params, sim_meta=meta, **acc)
 
 
 # ---------------------------------------------------------------------------

@@ -16,177 +16,36 @@ geometry realizes the graph distance; the exact tie-breaking rules are
 documented on the concrete classes.  All cost accounting upstream is
 defined over these canonical routes.
 
-Each geometry is declared once, by two classes: a frozen spec dataclass
-whose ``name`` is its CLI name, whose fields are its parameters and
-whose ``labels`` formats the labels of a range of nodes, and a
-``Topology`` subclass holding the scalar ``route`` next to ``pairs``,
-the vectorized kernel that exact enumeration and simulation run on,
-``degrees``, the out-degree of every node as one array, and
-``orbits``, which labels each node with its orbit under a group of
-node relabelings that commute with every canonical route.  The scalar
-``route`` and ``out_neighbors`` are the readable reference; the test
-suite pins every kernel and every degree array to them, and the exact
-census, which walks one source per orbit, to a walk of every source.
-``GEOMETRIES`` maps each name to its spec class.
+Each geometry is one frozen dataclass subclass of ``Topology``: its
+``name`` is its CLI name, its fields are its parameters, and it holds
+``labels``, which formats the labels of a range of nodes, the scalar
+``route`` next to ``pairs``, the vectorized kernel that exact
+enumeration and simulation run on, ``degrees``, the out-degree of every
+node as one array, and ``orbits``, which labels each node with its
+orbit under a group of node relabelings that commute with every
+canonical route.  The scalar ``route`` and ``out_neighbors`` are the
+readable reference; the test suite pins every kernel and every degree
+array to them, and the exact census, which walks one source per orbit,
+to a walk of every source.  ``GEOMETRIES`` maps each name to its class.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Optional
 
 import numpy as np
 
 from .costmodel import InvalidParameterError, ResourceLimitError
 
-#: Refuse to materialize topologies above this many nodes unless the
-#: caller raises the limit explicitly.
+#: ``build`` refuses geometries above this many nodes unless the caller
+#: raises the limit explicitly.
 DEFAULT_BUILD_LIMIT = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# geometry descriptions
-
-
-@dataclass(frozen=True)
-class Star:
-    """Hub and spokes on ``n`` nodes, node 0 being the hub."""
-
-    name: ClassVar[str] = "star"
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidParameterError(f"star needs n >= 1, got {self.n}")
-
-    @property
-    def node_count(self) -> int:
-        return self.n
-
-    def labels(self, start: int, stop: int) -> list[str]:
-        """Labels of nodes ``start .. stop-1``: the node number."""
-        return list(map(str, range(start, stop)))
-
-
-@dataclass(frozen=True)
-class DeBruijn:
-    """De Bruijn digraph on words of length ``d`` over ``delta`` symbols."""
-
-    name: ClassVar[str] = "debruijn"
-    delta: int
-    d: int
-
-    def __post_init__(self):
-        if self.delta < 2:
-            raise InvalidParameterError(f"debruijn needs delta >= 2, got {self.delta}")
-        if self.d < 1:
-            raise InvalidParameterError(f"debruijn needs d >= 1, got {self.d}")
-
-    @property
-    def node_count(self) -> int:
-        return self.delta**self.d
-
-    def labels(self, start: int, stop: int) -> list[str]:
-        """Labels of nodes ``start .. stop-1``: the word's symbols."""
-        return _digit_labels(start, stop, self.delta, self.d, _word_separator(self.delta))
-
-
-@dataclass(frozen=True)
-class Torus:
-    """``d``-dimensional torus with ``n_side`` nodes per dimension."""
-
-    name: ClassVar[str] = "torus"
-    d: int
-    n_side: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise InvalidParameterError(f"torus needs d >= 1, got {self.d}")
-        if self.n_side < 2:
-            raise InvalidParameterError(f"torus needs n_side >= 2, got {self.n_side}")
-
-    @property
-    def node_count(self) -> int:
-        return self.n_side**self.d
-
-    def labels(self, start: int, stop: int) -> list[str]:
-        """Labels of nodes ``start .. stop-1``: the coordinates, ``(x,y,...)``."""
-        return _digit_labels(start, stop, self.n_side, self.d, ",", "(", ")")
-
-
-@dataclass(frozen=True)
-class PlaxtonTree:
-    """Digit-correcting mesh on words of length ``d`` over ``delta`` symbols."""
-
-    name: ClassVar[str] = "plaxton"
-    delta: int
-    d: int
-
-    def __post_init__(self):
-        if self.delta < 2:
-            raise InvalidParameterError(f"plaxton needs delta >= 2, got {self.delta}")
-        if self.d < 1:
-            raise InvalidParameterError(f"plaxton needs d >= 1, got {self.d}")
-
-    @property
-    def node_count(self) -> int:
-        return self.delta**self.d
-
-    def labels(self, start: int, stop: int) -> list[str]:
-        """Labels of nodes ``start .. stop-1``: the word's symbols."""
-        return _digit_labels(start, stop, self.delta, self.d, _word_separator(self.delta))
-
-
-@dataclass(frozen=True)
-class ChordRing:
-    """Ring of ``2**d`` nodes with power-of-two finger links."""
-
-    name: ClassVar[str] = "chord"
-    d: int
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise InvalidParameterError(f"chord needs d >= 1, got {self.d}")
-
-    @property
-    def node_count(self) -> int:
-        return 2**self.d
-
-    def labels(self, start: int, stop: int) -> list[str]:
-        """Labels of nodes ``start .. stop-1``: ``d`` binary digits."""
-        width = f"0{self.d}b"
-        return [format(node, width) for node in range(start, stop)]
-
-
-GeometrySpec = Union[Star, DeBruijn, Torus, PlaxtonTree, ChordRing]
-
-
-@dataclass(frozen=True)
-class Route:
-    """Canonical route between two nodes, endpoints included."""
-
-    source: int
-    destination: int
-    hops: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.hops) < 1:
-            raise InvalidParameterError("a route visits at least its source")
-        if self.hops[0] != self.source or self.hops[-1] != self.destination:
-            raise InvalidParameterError("route endpoints do not match hops")
-
-    @property
-    def hop_count(self) -> int:
-        return len(self.hops) - 1
-
-    @property
-    def intermediates(self) -> tuple[int, ...]:
-        return self.hops[1:-1]
-
-
-# ---------------------------------------------------------------------------
-# word codecs shared by debruijn and plaxton
+# word codecs shared by debruijn, plaxton and the torus
 
 def _digits(node: int, base: int, width: int) -> tuple[int, ...]:
     out = []
@@ -228,23 +87,25 @@ def _digit_labels(start: int, stop: int, base: int, width: int, sep: str,
 
 
 # ---------------------------------------------------------------------------
-# topologies
+# geometries
 
 
 class Topology:
-    """A built geometry: node set plus out-neighbor structure.
+    """A routing geometry: node set plus out-neighbor structure.
 
     Nodes are the integers ``0 .. node_count - 1``.  Subclasses provide
-    ``out_neighbors``, ``degrees``, ``route`` and ``pairs``, and
-    ``degree`` or ``orbits`` where the defaults do not fit.
+    ``node_count``, ``labels``, ``out_neighbors``, ``degrees``, ``route``
+    and ``pairs``, and ``orbits`` where the default does not fit.
     """
 
-    def __init__(self, spec: GeometrySpec):
-        self.spec = spec
-        self.node_count = spec.node_count
+    name: ClassVar[str]
 
     def nodes(self) -> range:
         return range(self.node_count)
+
+    def labels(self, start: int, stop: int) -> list[str]:
+        """Labels of nodes ``start .. stop-1``."""
+        raise NotImplementedError
 
     def out_neighbors(self, node: int) -> tuple[int, ...]:
         raise NotImplementedError
@@ -282,9 +143,9 @@ class Topology:
         raise NotImplementedError
 
     def label(self, node: int) -> str:
-        """Label of ``node`` as the spec's ``labels`` writes it."""
+        """Label of ``node`` as ``labels`` writes it."""
         self._check_node(node)
-        return self.spec.labels(node, node + 1)[0]
+        return self.labels(node, node + 1)[0]
 
     def _check_node(self, node: int):
         if not 0 <= node < self.node_count:
@@ -293,18 +154,33 @@ class Topology:
             )
 
 
-class StarTopology(Topology):
-    """Star routes go through the hub unless an endpoint is the hub."""
+@dataclass(frozen=True)
+class Star(Topology):
+    """Hub and spokes on ``n`` nodes, node 0 being the hub.
+
+    Star routes go through the hub unless an endpoint is the hub.
+    """
+
+    name: ClassVar[str] = "star"
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise InvalidParameterError(f"star needs n >= 1, got {self.n}")
+
+    @property
+    def node_count(self) -> int:
+        return self.n
+
+    def labels(self, start: int, stop: int) -> list[str]:
+        """Labels of nodes ``start .. stop-1``: the node number."""
+        return list(map(str, range(start, stop)))
 
     def out_neighbors(self, node):
         self._check_node(node)
         if node == 0:
             return tuple(range(1, self.node_count))
         return (0,)
-
-    def degree(self, node):
-        self._check_node(node)
-        return self.node_count - 1 if node == 0 else 1
 
     def degrees(self):
         out = np.ones(self.node_count, dtype=np.int64)
@@ -333,23 +209,40 @@ class StarTopology(Topology):
         return moving.astype(np.int64) + relayed.astype(np.int64)
 
 
-class _WordTopology(Topology):
+@dataclass(frozen=True)
+class _Words(Topology):
     """Words of length ``d`` over ``delta`` symbols, most significant first."""
 
-    def __init__(self, spec: Union[DeBruijn, PlaxtonTree]):
-        super().__init__(spec)
-        self.delta = spec.delta
-        self.d = spec.d
+    delta: int
+    d: int
+
+    def __post_init__(self):
+        if self.delta < 2:
+            raise InvalidParameterError(f"{self.name} needs delta >= 2, got {self.delta}")
+        if self.d < 1:
+            raise InvalidParameterError(f"{self.name} needs d >= 1, got {self.d}")
+
+    @property
+    def node_count(self) -> int:
+        return self.delta**self.d
+
+    def labels(self, start: int, stop: int) -> list[str]:
+        """Labels of nodes ``start .. stop-1``: the word's symbols."""
+        return _digit_labels(start, stop, self.delta, self.d, _word_separator(self.delta))
 
 
-class DeBruijnTopology(_WordTopology):
-    """Shift-and-append routing.
+@dataclass(frozen=True)
+class DeBruijn(_Words):
+    """De Bruijn digraph on words of length ``d`` over ``delta`` symbols.
 
-    The canonical route appends the destination word one symbol at a
-    time, skipping the longest overlap between a suffix of the source
-    and a prefix of the destination.  Shortest paths in a de Bruijn
-    digraph are unique, so no tie-breaking is needed.
+    Routing shifts and appends.  The canonical route appends the
+    destination word one symbol at a time, skipping the longest overlap
+    between a suffix of the source and a prefix of the destination.
+    Shortest paths in a de Bruijn digraph are unique, so no tie-breaking
+    is needed.
     """
+
+    name: ClassVar[str] = "debruijn"
 
     def out_neighbors(self, node):
         self._check_node(node)
@@ -428,18 +321,33 @@ class DeBruijnTopology(_WordTopology):
         return hops
 
 
-class TorusTopology(Topology):
-    """Dimension-ordered greedy routing on the wraparound grid.
+@dataclass(frozen=True)
+class Torus(Topology):
+    """``d``-dimensional torus with ``n_side`` nodes per dimension.
 
-    Coordinates are corrected from the most significant dimension down,
-    always along the shorter arc of the ring; when both arcs have equal
-    length the positive direction is taken.
+    Routing is dimension-ordered and greedy.  Coordinates are corrected
+    from the most significant dimension down, always along the shorter
+    arc of the ring; when both arcs have equal length the positive
+    direction is taken.
     """
 
-    def __init__(self, spec: Torus):
-        super().__init__(spec)
-        self.d = spec.d
-        self.n_side = spec.n_side
+    name: ClassVar[str] = "torus"
+    d: int
+    n_side: int
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise InvalidParameterError(f"torus needs d >= 1, got {self.d}")
+        if self.n_side < 2:
+            raise InvalidParameterError(f"torus needs n_side >= 2, got {self.n_side}")
+
+    @property
+    def node_count(self) -> int:
+        return self.n_side**self.d
+
+    def labels(self, start: int, stop: int) -> list[str]:
+        """Labels of nodes ``start .. stop-1``: the coordinates, ``(x,y,...)``."""
+        return _digit_labels(start, stop, self.n_side, self.d, ",", "(", ")")
 
     def coords(self, node: int) -> tuple[int, ...]:
         self._check_node(node)
@@ -523,13 +431,17 @@ class TorusTopology(Topology):
         return hops
 
 
-class PlaxtonTopology(_WordTopology):
-    """Digit-correcting routing, most significant digit first.
+@dataclass(frozen=True)
+class PlaxtonTree(_Words):
+    """Digit-correcting mesh on words of length ``d`` over ``delta`` symbols.
 
-    Each hop rewrites exactly one digit of the current word to the
-    matching digit of the destination, so the route length equals the
-    Hamming distance between the words.
+    Routing corrects digits, most significant first.  Each hop rewrites
+    exactly one digit of the current word to the matching digit of the
+    destination, so the route length equals the Hamming distance between
+    the words.
     """
+
+    name: ClassVar[str] = "plaxton"
 
     def out_neighbors(self, node):
         self._check_node(node)
@@ -581,17 +493,31 @@ class PlaxtonTopology(_WordTopology):
         return hops
 
 
-class ChordTopology(Topology):
-    """Greedy finger routing, largest useful power of two first.
+@dataclass(frozen=True)
+class ChordRing(Topology):
+    """Ring of ``2**d`` nodes with power-of-two finger links.
 
-    The route repeatedly takes the finger covering the highest set bit
-    of the remaining clockwise gap, so the hop count is the popcount of
-    ``(destination - source) mod N``.
+    Routing is greedy over the fingers, largest useful power of two
+    first.  The route repeatedly takes the finger covering the highest
+    set bit of the remaining clockwise gap, so the hop count is the
+    popcount of ``(destination - source) mod N``.
     """
 
-    def __init__(self, spec: ChordRing):
-        super().__init__(spec)
-        self.d = spec.d
+    name: ClassVar[str] = "chord"
+    d: int
+
+    def __post_init__(self):
+        if self.d < 1:
+            raise InvalidParameterError(f"chord needs d >= 1, got {self.d}")
+
+    @property
+    def node_count(self) -> int:
+        return 2**self.d
+
+    def labels(self, start: int, stop: int) -> list[str]:
+        """Labels of nodes ``start .. stop-1``: ``d`` binary digits."""
+        width = f"0{self.d}b"
+        return [format(node, width) for node in range(start, stop)]
 
     def out_neighbors(self, node):
         self._check_node(node)
@@ -638,32 +564,46 @@ class ChordTopology(Topology):
         return hops
 
 
-_TOPOLOGY_CLASSES = {
-    Star: StarTopology,
-    DeBruijn: DeBruijnTopology,
-    Torus: TorusTopology,
-    PlaxtonTree: PlaxtonTopology,
-    ChordRing: ChordTopology,
-}
+#: Geometry class by CLI name, in the CLI's listing order.
+GEOMETRIES = {cls.name: cls for cls in (Star, DeBruijn, Torus, PlaxtonTree, ChordRing)}
 
-#: Spec class by CLI name, in the CLI's listing order.
-GEOMETRIES = {spec.name: spec for spec in _TOPOLOGY_CLASSES}
+
+@dataclass(frozen=True)
+class Route:
+    """Canonical route between two nodes, endpoints included."""
+
+    source: int
+    destination: int
+    hops: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.hops) < 1:
+            raise InvalidParameterError("a route visits at least its source")
+        if self.hops[0] != self.source or self.hops[-1] != self.destination:
+            raise InvalidParameterError("route endpoints do not match hops")
+
+    @property
+    def hop_count(self) -> int:
+        return len(self.hops) - 1
+
+    @property
+    def intermediates(self) -> tuple[int, ...]:
+        return self.hops[1:-1]
 
 
 # ---------------------------------------------------------------------------
 # module operations
 
 
-def build(spec: GeometrySpec, max_nodes: int = DEFAULT_BUILD_LIMIT) -> Topology:
-    """Materialize a geometry, refusing sizes above ``max_nodes``."""
-    cls = _TOPOLOGY_CLASSES.get(type(spec))
-    if cls is None:
+def build(spec: Topology, max_nodes: int = DEFAULT_BUILD_LIMIT) -> Topology:
+    """Check a geometry against ``max_nodes`` and return it."""
+    if type(spec) not in GEOMETRIES.values():
         raise InvalidParameterError(f"unknown geometry {spec!r}")
     if spec.node_count > max_nodes:
         raise ResourceLimitError(
             f"{spec.node_count} nodes exceeds the build limit of {max_nodes}"
         )
-    return cls(spec)
+    return spec
 
 
 def canonical_route(topology: Topology, source: int, destination: int) -> Route:
@@ -696,13 +636,6 @@ def degree(topology: Topology, node: int) -> int:
     return topology.degree(node)
 
 
-def node_label(spec: GeometrySpec, node: int) -> str:
-    """Human-readable label of ``node`` without building the topology."""
-    if not 0 <= node < spec.node_count:
-        raise InvalidParameterError(f"node {node} outside 0..{spec.node_count - 1}")
-    return spec.labels(node, node + 1)[0]
-
-
 def is_repeated_symbol_node(spec: DeBruijn, node: int) -> bool:
     """Whether a de Bruijn node spells one repeated symbol.
 
@@ -713,7 +646,6 @@ def is_repeated_symbol_node(spec: DeBruijn, node: int) -> bool:
     """
     if not isinstance(spec, DeBruijn):
         raise InvalidParameterError("repeated-symbol nodes exist only for debruijn")
-    if not 0 <= node < spec.node_count:
-        raise InvalidParameterError(f"node {node} outside 0..{spec.node_count - 1}")
+    spec._check_node(node)
     digits = _digits(node, spec.delta, spec.d)
     return all(dig == digits[0] for dig in digits)

@@ -206,6 +206,19 @@ def test_criterion_3_debruijn_lemmas(debruijn_censuses):
           f"respected, cap attained in {tight_cases} delta >= d cases")
 
 
+def test_debruijn_loading_is_reversal_symmetric(debruijn_censuses):
+    # The route from s to t spells the word s + t[overlap:].  The route
+    # from reverse(t) to reverse(s) has the same overlap and spells that
+    # word backwards, so it relays through the reversed intermediates.
+    # Hop sums are not symmetric: a source's hops to every destination
+    # map onto hops into its reversal, so they are not asserted.
+    for (delta, d), census in debruijn_censuses.items():
+        words = np.arange(delta**d)
+        reverse = sum((words // delta**pos % delta) * delta ** (d - 1 - pos)
+                      for pos in range(d))
+        assert np.array_equal(census.loading, census.loading[reverse]), (delta, d)
+
+
 # ---------------------------------------------------------------------------
 # criterion 4
 

@@ -26,7 +26,6 @@ from dhtcostlab import (
     PlaxtonTree,
     Star,
     Torus,
-    node_label,
 )
 from dhtcostlab import cli, engine, topologies
 from dhtcostlab.cli import ENV_GUARD, _feasible_sizes, build_parser, main
@@ -295,6 +294,13 @@ def test_star_equilibrium_output(tmp_path):
     assert "every network size" in zero.stdout
     flat = run_cli("star-equilibrium", "--a", "1", "--r", "1", "--m", "0")
     assert "no equilibrium size beyond" in flat.stdout
+
+
+def test_star_equilibrium_overflow_exits_two():
+    proc = run_cli("star-equilibrium", "--a", "1e200", "--m", "1e-200", "--r", "1")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: computing the star break-even size overflows float64")
+    assert "Traceback" not in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +606,7 @@ def per_node_reference(report):
     """The per-node rows as ``json`` and ``csv`` are handed them."""
     spec = report.geometry
     columns = [report.component(name).tolist() for name in engine.COMPONENTS]
-    return [(node_label(spec, i), *values)
+    return [(spec.label(i), *values)
             for i, values in zip(range(spec.node_count), zip(*columns))]
 
 

@@ -143,6 +143,15 @@ def test_equilibrium_integer_root_is_decided_exactly():
     assert star_equilibrium_size(params) == Candidate(n0_real=1.0, is_integer=True)
 
 
+@pytest.mark.parametrize("a, r, m", [
+    (1e200, 1.0, 1e-200),  # (a - r) / 2m overflows
+    (1e308, 1e308, 1e-300),  # r / m overflows
+])
+def test_equilibrium_refuses_a_root_that_overflows(a, r, m):
+    with pytest.raises(InvalidParameterError, match="overflows float64"):
+        star_equilibrium_size(CostParams(s=0, a=a, r=r, m=m))
+
+
 # decimal prices with up to three places, as a CLI user would type them
 decimal_prices = st.builds(lambda k, places: Fraction(k, 10**places),
                            st.integers(0, 2000), st.sampled_from([0, 1, 2, 3]))

@@ -141,22 +141,22 @@ def test_orbit_census_matches_full_walk(spec):
     assert census.pair_count == topology.node_count**2
 
 
-def test_default_orbits_walk_every_source():
+def test_default_orbits_walk_every_source(monkeypatch):
     topology = build(DeBruijn(delta=3, d=3))
     default = Topology.orbits(topology)
     assert np.array_equal(default, np.arange(27))
     reduced = route_census(topology)
-    topology.orbits = lambda: default
+    monkeypatch.setattr(DeBruijn, "orbits", lambda self: default)
     full = route_census(topology)
     assert np.array_equal(full.hop_sums, reduced.hop_sums)
     assert np.array_equal(full.loading, reduced.loading)
 
 
-def test_orbit_census_rejects_orbits_that_break_divisibility():
+def test_orbit_census_rejects_orbits_that_break_divisibility(monkeypatch):
     # hub and spoke 1 are not interchangeable: spoke 2's one relay through
     # the hub cannot be split evenly over a {hub, spoke 1} orbit
     topology = build(Star(n=3))
-    topology.orbits = lambda: np.array([0, 0, 1], dtype=np.int64)
+    monkeypatch.setattr(Star, "orbits", lambda self: np.array([0, 0, 1], dtype=np.int64))
     with pytest.raises(ArithmeticError, match="do not divide evenly"):
         route_census(topology)
 
@@ -365,6 +365,14 @@ def test_compare_requires_matching_context():
         compare([a, c])
     with pytest.raises(InvalidParameterError):
         compare([a])
+
+
+def test_compare_tells_word_geometries_apart():
+    # de Bruijn and Plaxton share their fields but not their routes
+    debruijn = enumerate_exact(build(DeBruijn(delta=2, d=3)), PRICED)
+    plaxton = enumerate_exact(build(PlaxtonTree(delta=2, d=3)), PRICED)
+    with pytest.raises(InvalidParameterError, match="different geometries"):
+        compare([debruijn, plaxton])
 
 
 def test_compare_reports_deviation_magnitudes():

@@ -22,7 +22,6 @@ from dhtcostlab import (
     canonical_route,
     degree,
     is_repeated_symbol_node,
-    node_label,
 )
 from dhtcostlab.topologies import Topology
 
@@ -137,6 +136,29 @@ def test_build_refuses_oversized_networks():
     with pytest.raises(ResourceLimitError):
         build(Star(n=100), max_nodes=99)
     assert build(Star(n=100), max_nodes=100).node_count == 100
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=str)
+def test_build_returns_the_geometry_itself(spec):
+    assert build(spec) is spec
+
+
+@pytest.mark.parametrize("thing", [object(), "star"], ids=["object", "name"])
+def test_build_refuses_a_non_geometry(thing):
+    with pytest.raises(InvalidParameterError, match="unknown geometry"):
+        build(thing)
+
+
+@pytest.mark.parametrize("cls", [DeBruijn, PlaxtonTree], ids=lambda cls: cls.name)
+def test_word_geometries_share_validation_under_their_own_name(cls):
+    with pytest.raises(InvalidParameterError, match=f"^{cls.name} needs delta >= 2, got 1$"):
+        cls(delta=1, d=2)
+    with pytest.raises(InvalidParameterError, match=f"^{cls.name} needs d >= 1, got 0$"):
+        cls(delta=2, d=0)
+
+
+def test_word_geometries_with_equal_fields_differ():
+    assert DeBruijn(delta=2, d=3) != PlaxtonTree(delta=2, d=3)
 
 
 def test_out_of_range_nodes_rejected():
@@ -306,14 +328,14 @@ def test_chord_hop_count_is_gap_popcount():
 
 
 def test_labels():
-    assert node_label(Star(n=5), 3) == "3"
-    assert node_label(DeBruijn(delta=2, d=4), 5) == "0101"
-    assert node_label(PlaxtonTree(delta=5, d=4), 194) == "1234"
-    assert node_label(DeBruijn(delta=12, d=2), 23) == "1.11"
-    assert node_label(Torus(d=2, n_side=4), 7) == "(1,3)"
-    assert node_label(ChordRing(d=4), 5) == "0101"
+    assert Star(n=5).label(3) == "3"
+    assert DeBruijn(delta=2, d=4).label(5) == "0101"
+    assert PlaxtonTree(delta=5, d=4).label(194) == "1234"
+    assert DeBruijn(delta=12, d=2).label(23) == "1.11"
+    assert Torus(d=2, n_side=4).label(7) == "(1,3)"
+    assert ChordRing(d=4).label(5) == "0101"
     with pytest.raises(InvalidParameterError):
-        node_label(ChordRing(d=4), 16)
+        ChordRing(d=4).label(16)
 
 
 def reference_label(spec, node):
@@ -356,7 +378,6 @@ class TwoIslands(Topology):
     """Minimal topology with an unreachable pair, for the BFS sentinel."""
 
     def __init__(self):
-        self.spec = None
         self.node_count = 2
 
     def out_neighbors(self, node):
